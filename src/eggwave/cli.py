@@ -33,7 +33,6 @@ from .stats import (
     cr_sweep,
     sweep_to_csv,
 )
-from .wavelets import Signal
 
 WAVELET_HELP = (
     "Wavelet: haar, daubechies-2, daubechies-3, coiflet-1, or pollen:A,B "
@@ -115,16 +114,12 @@ def compress_command(data, wavelet, cr, depth, out):
         wavelet=parse_wavelet(wavelet), cr=cr, levels=parse_depth(depth)
     )
     lines = ["subject,state,channel,kept,total_coefficients,prd_percent"]
-    for subject in cohort.subjects:
-        for state in cohort.states:
-            rec = cohort.get(subject, state)
-            period = 1.0 / rec.sample_rate_hz
-            for ch in rec.channel_ids:
-                result = compress(Signal(rec.channel(ch), sample_period_s=period), config)
-                lines.append(
-                    f"{subject},{state},{ch},{result.kept},"
-                    f"{result.total_coefficients},{result.prd_percent:.6f}"
-                )
+    for subject, state, ch, signal in cohort.signals():
+        result = compress(signal, config)
+        lines.append(
+            f"{subject},{state},{ch},{result.kept},"
+            f"{result.total_coefficients},{result.prd_percent:.6f}"
+        )
     table = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(table, encoding="ascii", newline="\n")
@@ -139,18 +134,16 @@ def compress_command(data, wavelet, cr, depth, out):
 @click.option("--grid", default=64, show_default=True, help="Grid resolution per axis.")
 @click.option("--cr", default=3.0, show_default=True, help="Compression ratio.")
 @click.option("--depth", default=6, show_default=True, type=int, help="Decomposition depth.")
-@click.option("--workers", default=1, show_default=True, help="Threads for the scan.")
 @click.option("--refine", is_flag=True, help="Re-scan one cell around the minimum.")
 @click.option("--out-csv", type=click.Path(), default=None, help="Surface CSV output.")
 @click.option("--out-pgm", type=click.Path(), default=None, help="Surface PGM raster output.")
 @data_errors_exit_1
-def surface(recording, channel, grid, cr, depth, workers, refine, out_csv, out_pgm):
+def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
     """PRD surface of one recording channel over the filter plane."""
-    rec = read_recording(recording)
-    signal = Signal(rec.channel(channel), sample_period_s=1.0 / rec.sample_rate_hz)
-    scan = prd_surface(signal, GridSpec(resolution=grid), cr=cr, levels=depth, workers=workers)
+    signal = read_recording(recording).signal(channel)
+    scan = prd_surface(signal, GridSpec(resolution=grid), cr=cr, levels=depth)
     if refine:
-        scan = refine_surface(signal, scan, workers=workers)
+        scan = refine_surface(signal, scan)
     a, b, value = scan.argmin
     if out_csv:
         surface_to_csv(scan, out_csv)
@@ -172,11 +165,10 @@ def surface(recording, channel, grid, cr, depth, workers, refine, out_csv, out_p
 @click.option("--depth", default=6, show_default=True, type=int, help="Decomposition depth.")
 @click.option("--channels", default="all", show_default=True,
               help="Comma-separated channel ids, or 'all'.")
-@click.option("--workers", default=1, show_default=True, help="Threads for the scans.")
 @click.option("--refine", is_flag=True, help="Refine each per-recording minimum.")
 @click.option("--out", type=click.Path(), default=None, help="Write per-recording minima CSV.")
 @data_errors_exit_1
-def match(data, state, grid, cr, depth, channels, workers, refine, out):
+def match(data, state, grid, cr, depth, channels, refine, out):
     """Best-matching plane point per recording and the cohort aggregate."""
     cohort = load_cohort(data)
     if channels == "all":
@@ -194,7 +186,6 @@ def match(data, state, grid, cr, depth, channels, workers, refine, out):
         levels=depth,
         channels=selected,
         refine=refine,
-        workers=workers,
     )
     if out:
         Path(out).write_text(minima_to_csv(result), encoding="ascii", newline="\n")

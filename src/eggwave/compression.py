@@ -81,10 +81,12 @@ class CompressionResult:
     cr: float
 
 
-def _keep_order(flat: np.ndarray) -> np.ndarray:
+def _keep_mask(flat: np.ndarray, keep: int) -> np.ndarray:
     # Stable sort on descending magnitude: ties at the cutoff go to the
     # smaller flat index, and keep-sets are nested as M grows.
-    return np.argsort(-np.abs(flat), kind="stable")
+    mask = np.zeros(flat.size, dtype=bool)
+    mask[np.argsort(-np.abs(flat), kind="stable")[:keep]] = True
+    return mask
 
 
 def keep_largest(coeffs: DwtCoefficients, keep: int) -> DwtCoefficients:
@@ -98,10 +100,7 @@ def keep_largest(coeffs: DwtCoefficients, keep: int) -> DwtCoefficients:
     if int(keep) != keep or not 1 <= keep <= total:
         raise ValueError(f"keep count must be in 1..{total}, got {keep}")
     flat = coeffs.to_flat()
-    kept_idx = _keep_order(flat)[: int(keep)]
-    mask = np.zeros(total, dtype=bool)
-    mask[kept_idx] = True
-    return coeffs.with_flat(np.where(mask, flat, 0.0))
+    return coeffs.with_flat(np.where(_keep_mask(flat, int(keep)), flat, 0.0))
 
 
 def prd(x, reconstruction) -> float:
@@ -135,16 +134,14 @@ def compress(x, config: CompressionConfig = CompressionConfig()) -> CompressionR
     total = coeffs.total_count
     kept = max(1, int(total // config.cr))
     flat = coeffs.to_flat()
-    kept_indices = np.sort(_keep_order(flat)[:kept])
-    mask = np.zeros(total, dtype=bool)
-    mask[kept_indices] = True
+    mask = _keep_mask(flat, kept)
     reconstruction = dwt_inverse(coeffs.with_flat(np.where(mask, flat, 0.0)), filters)
     return CompressionResult(
         reconstruction=reconstruction,
         kept=kept,
         total_coefficients=total,
         prd_percent=prd(signal, reconstruction),
-        kept_indices=kept_indices,
+        kept_indices=np.flatnonzero(mask),
         levels=levels,
         cr=float(config.cr),
     )

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .wavelets import Signal
+
 __all__ = [
     "STATES",
     "RecordingFile",
@@ -83,6 +85,10 @@ class RecordingFile:
                 f"recording has no channel {channel_id}; ids: {self.channel_ids}"
             ) from None
         return self.samples[:, column]
+
+    def signal(self, channel_id: int) -> Signal:
+        """One channel as a :class:`Signal` at the recording's sample period."""
+        return Signal(self.channel(channel_id), sample_period_s=1.0 / self.sample_rate_hz)
 
 
 def write_recording(recording: RecordingFile, path) -> Path:
@@ -218,16 +224,6 @@ class Manifest:
     root: Path
     seed: object = None
 
-    @property
-    def subjects(self) -> list:
-        return sorted({e.subject for e in self.entries})
-
-    @property
-    def states(self) -> list:
-        present = {e.state for e in self.entries}
-        ordered = [s for s in STATES if s in present]
-        return ordered + sorted(present - set(STATES))
-
 
 def write_manifest(entries, path, seed=None) -> Path:
     """Write a flat manifest; entry paths are stored relative to it."""
@@ -261,7 +257,12 @@ def read_manifest(path) -> Manifest:
         if line.startswith("#"):
             key, _, value = line[1:].partition(":")
             if key.strip() == "seed":
-                seed = int(value.strip())
+                try:
+                    seed = int(value.strip())
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {i + 1}: malformed seed {value.strip()!r}"
+                    ) from None
             continue
         if not header_seen:
             if line != "subject,state,path":
@@ -318,6 +319,21 @@ class Cohort:
             return self.recordings[(subject, state)]
         except KeyError:
             raise ValueError(f"cohort has no recording for ({subject}, {state})") from None
+
+    def signals(self, states=None, channels=None):
+        """Yield ``(subject, state, channel, Signal)`` for every trace.
+
+        Order is subject (sorted), then state (``states`` as given, default
+        :attr:`states`), then channel (``channels`` as given, default each
+        recording's own ids).  An unknown channel id raises ``ValueError``.
+        """
+        states = self.states if states is None else list(states)
+        channels = None if channels is None else list(channels)
+        for subject in self.subjects:
+            for state in states:
+                rec = self.get(subject, state)
+                for ch in rec.channel_ids if channels is None else channels:
+                    yield subject, state, ch, rec.signal(ch)
 
 
 def write_cohort(cohort: Cohort, out_dir) -> Path:

@@ -9,7 +9,6 @@ cohort gives the aggregate best-matching point ``(a*, b*)``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,6 +72,7 @@ class PrdSurface:
 
     def __post_init__(self):
         prd = np.asarray(self.prd, dtype=np.float64)
+        object.__setattr__(self, "prd", prd)
         if prd.shape != (len(self.a_values), len(self.b_values)):
             raise ValueError("surface shape does not match its axes")
         if not np.all(np.isfinite(prd)):
@@ -86,48 +86,22 @@ class PrdSurface:
         return (float(self.a_values[i]), float(self.b_values[j]), float(self.prd[i, j]))
 
 
-def _surface_values(signal, a_values, b_values, cr, levels, workers):
-    def row(i):
-        a = a_values[i]
-        return [
+def prd_surface(x, grid: GridSpec, cr: float = 3.0, levels: int = 6) -> PrdSurface:
+    """Evaluate the compression PRD at every plane point of a grid."""
+    signal = x if isinstance(x, Signal) else Signal(x)
+    cr, levels = float(cr), int(levels)
+    a_values, b_values = grid.a_values, grid.b_values
+    values = [
+        [
             compress(signal, CompressionConfig(wavelet=(a, b), cr=cr, levels=levels)).prd_percent
             for b in b_values
         ]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(len(a_values))))
-    else:
-        rows = [row(i) for i in range(len(a_values))]
-    return np.asarray(rows)
+        for a in a_values
+    ]
+    return PrdSurface(a_values=a_values, b_values=b_values, prd=values, cr=cr, levels=levels)
 
 
-def prd_surface(
-    x, grid: GridSpec, cr: float = 3.0, levels: int = 6, workers: int = 1
-) -> PrdSurface:
-    """Evaluate the compression PRD at every plane point of a grid.
-
-    Grid nodes are independent pure evaluations, so ``workers`` threads
-    may share the scan; the assembled surface is identical either way.
-    """
-    signal = x if isinstance(x, Signal) else Signal(x)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    values = _surface_values(
-        signal, grid.a_values, grid.b_values, float(cr), int(levels), int(workers)
-    )
-    return PrdSurface(
-        a_values=grid.a_values,
-        b_values=grid.b_values,
-        prd=values,
-        cr=float(cr),
-        levels=int(levels),
-    )
-
-
-def refine_surface(
-    x, surface: PrdSurface, resolution: int = 8, workers: int = 1
-) -> PrdSurface:
+def refine_surface(x, surface: PrdSurface, resolution: int = 8) -> PrdSurface:
     """Re-scan one grid cell around the surface argmin at finer spacing.
 
     The sub-grid spans one original cell on each side of the argmin,
@@ -141,7 +115,7 @@ def refine_surface(
         a_range=(max(-math.pi, a_star - step_a), min(math.pi, a_star + step_a)),
         b_range=(max(-math.pi, b_star - step_b), min(math.pi, b_star + step_b)),
     )
-    return prd_surface(x, grid, cr=surface.cr, levels=surface.levels, workers=workers)
+    return prd_surface(x, grid, cr=surface.cr, levels=surface.levels)
 
 
 def surface_minima(surface: PrdSurface) -> list:
@@ -214,7 +188,6 @@ def match_cohort(
     levels: int = 6,
     channels=None,
     refine: bool = False,
-    workers: int = 1,
 ) -> MatchResult:
     """Locate the best-matching plane point for every recording of a state.
 
@@ -222,20 +195,15 @@ def match_cohort(
     surface; its global argmin (optionally refined by a sub-grid pass)
     enters the cohort aggregate.
     """
-    selected = list(channels) if channels is not None else list(cohort.channel_ids)
     minima = []
-    for subject in cohort.subjects:
-        rec = cohort.get(subject, state)
-        period = 1.0 / rec.sample_rate_hz
-        for ch in selected:
-            signal = Signal(rec.channel(ch), sample_period_s=period)
-            surface = prd_surface(signal, grid, cr=cr, levels=levels, workers=workers)
-            if refine:
-                surface = refine_surface(signal, surface, workers=workers)
-            a, b, value = surface.argmin
-            minima.append(
-                PlaneMinimum(subject=subject, channel=int(ch), a=a, b=b, prd_percent=value)
-            )
+    for subject, _, ch, signal in cohort.signals([state], channels):
+        surface = prd_surface(signal, grid, cr=cr, levels=levels)
+        if refine:
+            surface = refine_surface(signal, surface)
+        a, b, value = surface.argmin
+        minima.append(
+            PlaneMinimum(subject=subject, channel=int(ch), a=a, b=b, prd_percent=value)
+        )
     aggregate = aggregate_best([(m.a, m.b) for m in minima])
     return MatchResult(
         minima=tuple(minima), aggregate=aggregate, cr=float(cr), levels=int(levels)

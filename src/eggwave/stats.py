@@ -20,7 +20,6 @@ from scipy.stats import rankdata
 
 from .compression import CompressionConfig, compress
 from .io import Cohort
-from .wavelets import Signal
 
 __all__ = [
     "TestOutcome",
@@ -256,15 +255,18 @@ def state_prds(
     cr: float = 3.0,
     levels="auto",
 ) -> dict:
-    """Per-channel PRD arrays for one state, subjects in sorted order."""
+    """Per-channel PRD arrays for one state, subjects in sorted order.
+
+    A signal that cannot be scored (such as a flat, zero-energy channel)
+    raises ``ValueError`` naming its subject, state and channel.
+    """
     config = CompressionConfig(wavelet=wavelet, cr=cr, levels=levels)
     prds = {ch: [] for ch in cohort.channel_ids}
-    for subject in cohort.subjects:
-        rec = cohort.get(subject, state)
-        period = 1.0 / rec.sample_rate_hz
-        for ch in rec.channel_ids:
-            signal = Signal(rec.channel(ch), sample_period_s=period)
+    for subject, _, ch, signal in cohort.signals([state]):
+        try:
             prds[ch].append(compress(signal, config).prd_percent)
+        except ValueError as error:
+            raise ValueError(f"subject {subject}, state {state}, channel {ch}: {error}") from error
     return {ch: np.asarray(v) for ch, v in prds.items()}
 
 

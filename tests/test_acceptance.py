@@ -78,7 +78,7 @@ def test_criterion_2_square_wave_haar_recovery():
     with criterion(2, "square-wave scan recovers the Haar loci"):
         start = time.monotonic()
         x = square_wave_signal(2048, step_samples=8, seed=4)
-        surface = prd_surface(x, GridSpec(resolution=64), cr=3.0, levels=6, workers=1)
+        surface = prd_surface(x, GridSpec(resolution=64), cr=3.0, levels=6)
         a, b, _ = surface.argmin
         cell = float(surface.a_values[1] - surface.a_values[0])
 

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eggwave.compression import (
     CompressionConfig,
@@ -7,7 +12,14 @@ from eggwave.compression import (
     keep_largest,
     prd,
 )
-from eggwave.wavelets import DwtCoefficients, Signal, dwt_forward, named_wavelet
+from eggwave.wavelets import (
+    DwtCoefficients,
+    Signal,
+    dwt_forward,
+    dwt_inverse,
+    named_wavelet,
+    resolve_wavelet,
+)
 
 
 def coeffs_from_flat(flat, approx_size, detail_sizes):
@@ -201,3 +213,40 @@ class TestCompressionProperties:
             discarded_energy = float(np.dot(flat[discarded], flat[discarded]))
             error_energy = (result.prd_percent / 100.0) ** 2 * float(np.dot(x, x))
             assert error_energy == pytest.approx(discarded_energy, rel=1e-8)
+
+
+wavelet_specs = st.one_of(
+    st.sampled_from(["haar", "daubechies-2", "daubechies-3", "coiflet-1"]),
+    st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+)
+
+
+@st.composite
+def signals_and_depths(draw):
+    levels = draw(st.integers(1, 6))
+    n = draw(st.integers(2**levels, 700))
+    x = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
+    assume(float(np.dot(x, x)) > 0.0)  # prd needs a reference with energy
+    return x, levels
+
+
+class TestSharedKeepKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=signals_and_depths(),
+        wavelet=wavelet_specs,
+        crs=st.lists(st.floats(1.0, 50.0), min_size=1, max_size=4),
+    )
+    def test_compress_is_inverse_of_keep_largest(self, case, wavelet, crs):
+        x, levels = case
+        filters = resolve_wavelet(wavelet)
+        coeffs = dwt_forward(x, filters, levels)
+        previous = np.array([], dtype=np.intp)
+        for cr in sorted(crs, reverse=True):
+            result = compress(x, CompressionConfig(wavelet=wavelet, cr=cr, levels=levels))
+            assert result.kept == max(1, int(coeffs.total_count // cr))
+            expected = dwt_inverse(keep_largest(coeffs, result.kept), filters)
+            assert np.array_equal(result.reconstruction.samples, expected.samples)
+            # Keep sets grow by nesting as the kept count grows.
+            assert np.isin(previous, result.kept_indices).all()
+            previous = result.kept_indices

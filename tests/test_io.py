@@ -53,6 +53,12 @@ class TestRecordingValidation:
         with pytest.raises(ValueError, match="no channel"):
             rec.channel(99)
 
+    def test_signal_accessor(self):
+        rec = make_recording()
+        signal = rec.signal(9)
+        assert np.array_equal(signal.samples, rec.channel(9))
+        assert signal.sample_period_s == 1.0 / rec.sample_rate_hz
+
 
 class TestRecordingRoundTrip:
     def test_exact_round_trip(self, tmp_path):
@@ -193,3 +199,48 @@ class TestManifest:
         cohort.seed = None
         manifest_path = write_cohort(cohort, tmp_path)
         assert read_manifest(manifest_path).seed is None
+
+    def test_malformed_seed_names_line(self, tmp_path):
+        manifest_path = write_cohort(make_cohort(), tmp_path)
+        lines = manifest_path.read_text().splitlines()
+        assert lines[0].startswith("# seed:")
+        lines[0] = "# seed: abc"
+        manifest_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"manifest\.txt: line 1: malformed seed 'abc'"):
+            read_manifest(manifest_path)
+
+
+class TestCohortSignals:
+    def test_order_is_subject_state_channel(self):
+        cohort = make_cohort()
+        keys = []
+        for subject, state, ch, signal in cohort.signals():
+            keys.append((subject, state, ch))
+            assert np.array_equal(signal.samples, cohort.get(subject, state).channel(ch))
+        assert keys == [
+            (subject, state, ch)
+            for subject in ("dog00", "dog01")
+            for state in ("basal", "mild", "severe")
+            for ch in (7, 8, 9)
+        ]
+
+    def test_state_and_channel_selection_keep_given_order(self):
+        cohort = make_cohort()
+        keys = [
+            (subject, state, ch)
+            for subject, state, ch, _ in cohort.signals(states=["severe"], channels=[9, 7])
+        ]
+        assert keys == [
+            ("dog00", "severe", 9),
+            ("dog00", "severe", 7),
+            ("dog01", "severe", 9),
+            ("dog01", "severe", 7),
+        ]
+
+    def test_unknown_channel_rejected(self):
+        with pytest.raises(ValueError, match="no channel 99"):
+            list(make_cohort().signals(channels=[7, 99]))
+
+    def test_missing_state_rejected(self):
+        with pytest.raises(ValueError, match="no recording for"):
+            list(make_cohort().signals(states=["moderate"]))

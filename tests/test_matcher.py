@@ -78,14 +78,24 @@ class TestPrdSurface:
         )
         assert np.max(surface.prd) < 1e-8
 
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic(self):
         x = np.random.default_rng(2).standard_normal(512)
         grid = GridSpec(resolution=8)
         serial = prd_surface(x, grid, cr=3.0, levels=5)
         again = prd_surface(x, grid, cr=3.0, levels=5)
-        threaded = prd_surface(x, grid, cr=3.0, levels=5, workers=4)
         assert np.array_equal(serial.prd, again.prd)
-        assert np.array_equal(serial.prd, threaded.prd)
+
+    def test_nested_list_prd_stored_as_array(self):
+        surface = PrdSurface(
+            a_values=np.array([-1.0, 1.0]),
+            b_values=np.array([-1.0, 1.0]),
+            prd=[[1.0, 2.0], [0.5, 3.0]],
+            cr=3.0,
+            levels=4,
+        )
+        assert isinstance(surface.prd, np.ndarray)
+        assert surface.prd.dtype == np.float64
+        assert surface.argmin == (1.0, -1.0, 0.5)
 
     def test_square_wave_minimum_on_haar_locus(self, square_surface):
         _, surface = square_surface

@@ -279,6 +279,25 @@ class TestPipeline:
         again = cr_sweep(small_cohort, crs=[3.0], wavelet="daubechies-3")
         assert points == again
 
+    def test_flat_channel_error_names_recording(self, small_cohort):
+        victim = small_cohort.get("dog02", "severe")
+        samples = victim.samples.copy()
+        samples[:, victim.channel_ids.index(11)] = 0.0
+        recordings = dict(small_cohort.recordings)
+        recordings[("dog02", "severe")] = type(victim)(
+            subject=victim.subject,
+            state=victim.state,
+            sample_rate_hz=victim.sample_rate_hz,
+            channel_ids=victim.channel_ids,
+            samples=samples,
+        )
+        cohort = type(small_cohort)(recordings=recordings, seed=small_cohort.seed)
+        message = r"subject dog02, state severe, channel 11: .*zero energy"
+        with pytest.raises(ValueError, match=message):
+            compare_states(cohort, "basal", "severe", cr=3.0)
+        with pytest.raises(ValueError, match=message):
+            cr_sweep(cohort, crs=[3.0])
+
     def test_scaling_cohort_does_not_change_decisions(self, small_cohort):
         rows = compare_states(small_cohort, "basal", "severe", cr=3.0)
         scaled = {
