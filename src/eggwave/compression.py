@@ -82,10 +82,14 @@ class CompressionResult:
 
 
 def _keep_mask(flat: np.ndarray, keep: int) -> np.ndarray:
-    # Stable sort on descending magnitude: ties at the cutoff go to the
-    # smaller flat index, and keep-sets are nested as M grows.
-    mask = np.zeros(flat.size, dtype=bool)
-    mask[np.argsort(-np.abs(flat), kind="stable")[:keep]] = True
+    # The keep-th largest magnitude is the cutoff.  Everything above it
+    # survives; ties at the cutoff go to the smaller flat index, as in a
+    # stable descending sort, so keep-sets are nested as M grows.
+    mags = np.abs(flat)
+    cut = np.partition(mags, flat.size - keep)[flat.size - keep]
+    mask = mags > cut
+    ties = np.flatnonzero(mags == cut)[: keep - np.count_nonzero(mask)]
+    mask[ties] = True
     return mask
 
 

@@ -155,8 +155,10 @@ def _parse_header_number(fields, key, path):
 
 
 def read_recording(path) -> RecordingFile:
-    """Read a recording CSV, rejecting malformed headers, ragged rows and
-    non-numeric or non-finite cells with line/column diagnostics."""
+    """Read a recording CSV, rejecting malformed headers, ragged rows,
+    non-numeric or non-finite cells and ``time_s`` values off the sample
+    grid (more than half a period from ``i / sample_rate_hz``) with
+    line/column diagnostics."""
     path = Path(path)
     lines = path.read_text(encoding="ascii").splitlines()
     fields, body_start = _parse_header(lines, path)
@@ -176,10 +178,12 @@ def read_recording(path) -> RecordingFile:
 
     n_columns = len(channel_ids) + 1
     rows = []
+    line_nos = []
     for offset, line in enumerate(lines[body_start + 1 :]):
         line_no = body_start + 2 + offset
         if not line:
             continue
+        line_nos.append(line_no)
         tokens = line.split(",")
         if len(tokens) != n_columns:
             raise ValueError(
@@ -199,6 +203,16 @@ def read_recording(path) -> RecordingFile:
         channel_ids=channel_ids,
         samples=matrix[:, 1:],
     )
+    times = matrix[:, 0]
+    off_grid = np.flatnonzero(
+        np.abs(times - np.arange(times.size) / sample_rate) > 0.5 / sample_rate
+    )
+    if off_grid.size:
+        i = int(off_grid[0])
+        raise ValueError(
+            f"{path}: line {line_nos[i]}: time_s {times[i]} does not match "
+            f"sample {i} at {sample_rate} Hz"
+        )
     if "duration_s" in fields:
         declared = _parse_header_number(fields, "duration_s", path)
         if abs(declared - recording.duration_s) > 0.5 / sample_rate:

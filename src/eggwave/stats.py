@@ -168,14 +168,19 @@ def paired_t(diffs, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
 
 
 def _exact_signed_rank_p(ranks: np.ndarray, w_plus: float) -> float:
-    # Null distribution of the positive-rank sum over all sign choices,
-    # built by doubling; exact because ranks are multiples of 0.5.
-    sums = np.zeros(1)
-    for r in ranks:
-        sums = np.concatenate([sums, sums + r])
-    mu = ranks.sum() / 2.0
-    deviation = abs(w_plus - mu)
-    return float(np.count_nonzero(np.abs(sums - mu) >= deviation) / sums.size)
+    # Null distribution of the positive-rank sum over all 2**n sign
+    # choices, counted by a subset-sum DP over doubled ranks; exact because
+    # mid-ranks are multiples of 0.5, so doubled ranks are integers.
+    doubled = (2.0 * ranks).astype(np.int64)
+    total = int(doubled.sum())
+    counts = np.zeros(total + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in doubled:
+        counts[r:] = counts[r:] + counts[: total + 1 - r]
+    # |sum - mu| >= |w_plus - mu| with mu = total / 4, scaled by four.
+    deviation = abs(4.0 * w_plus - total)
+    extreme = np.abs(2 * np.arange(total + 1) - total) >= deviation
+    return int(counts[extreme].sum()) / 2 ** ranks.size
 
 
 def wilcoxon_signed_rank(diffs, alpha: float = DEFAULT_ALPHA) -> TestOutcome:

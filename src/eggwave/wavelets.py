@@ -308,25 +308,35 @@ def _analysis_step(v: np.ndarray, h: np.ndarray, g: np.ndarray):
     if v.size % 2:
         v = np.append(v, v[-1])
     n = v.size
-    starts = np.arange(0, n, 2)
+    # One circular extension serves every tap (np.resize wraps as often as
+    # needed when the level is shorter than the filter); tap m reads the
+    # strided slice ext[m], ext[m + 2], ..., i.e. v[(2k + m) mod n].
+    ext = np.resize(v, n + h.size - 1)
     approx = np.zeros(n // 2)
     detail = np.zeros(n // 2)
     for m in range(h.size):
-        vm = v[(starts + m) % n]
+        vm = ext[m : m + n : 2]
         approx += h[m] * vm
         detail += g[m] * vm
     return approx, detail
 
 
 def _synthesis_step(approx, detail, h, g, out_len):
-    n = 2 * approx.size
-    out = np.zeros(n)
-    starts = np.arange(0, n, 2)
+    # Polyphase form: output sample 2i + p sums the taps m = p, p + 2, ...
+    # against band index (i - m // 2) mod half, so each tap adds a slice
+    # of the left-extended bands to one phase row.  Taps must run in
+    # ascending order so each sum equals the direct circular scatter-add
+    # out[(2k + m) mod n] += h[m] a[k] + g[m] d[k] bit for bit.
+    half = approx.size
+    lag = h.size // 2 - 1
+    wrap = np.arange(-lag, half) % half
+    a_ext = approx[wrap]
+    d_ext = detail[wrap]
+    phases = np.zeros((2, half))
     for m in range(h.size):
-        # Indices (2k + m) mod n are distinct for fixed m, so fancy-index
-        # accumulation is safe.
-        out[(starts + m) % n] += h[m] * approx + g[m] * detail
-    return out[:out_len]
+        s = lag - m // 2
+        phases[m % 2] += h[m] * a_ext[s : s + half] + g[m] * d_ext[s : s + half]
+    return phases.T.reshape(-1)[:out_len]
 
 
 def dwt_forward(x, filters: FilterPair, levels: int) -> DwtCoefficients:

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from eggwave.compression import (
     CompressionConfig,
+    _keep_mask,
     compress,
     keep_largest,
     prd,
@@ -78,6 +79,37 @@ class TestKeepLargest:
             keep_largest(coeffs, 0)
         with pytest.raises(ValueError):
             keep_largest(coeffs, 3)
+
+
+def argsort_keep_mask(flat, keep):
+    """Reference rule: the first ``keep`` of a stable descending-magnitude sort."""
+    mask = np.zeros(flat.size, dtype=bool)
+    mask[np.argsort(-np.abs(flat), kind="stable")[:keep]] = True
+    return mask
+
+
+class TestKeepMaskOracle:
+    CASES = {
+        "all-equal": np.full(17, 2.5),
+        "many-zeros": np.array([0.0, 0.0, 3.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0]),
+        "plus-minus": np.array([2.0, -2.0, 1.0, -1.0, 2.0, -1.0, 1.0, -2.0]),
+        "all-zero": np.zeros(6),
+        "single": np.array([-4.0]),
+    }
+
+    @staticmethod
+    def assert_all_keep_counts_match(flat):
+        for keep in range(1, flat.size + 1):
+            assert np.array_equal(_keep_mask(flat, keep), argsort_keep_mask(flat, keep))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_named_tie_patterns(self, name):
+        self.assert_all_keep_counts_match(self.CASES[name])
+
+    @settings(max_examples=100, deadline=None)
+    @given(flat=arrays(np.float64, st.integers(1, 80), elements=st.integers(-3, 3).map(float)))
+    def test_tie_heavy_integer_vectors(self, flat):
+        self.assert_all_keep_counts_match(flat)
 
 
 class TestPrd:

@@ -133,6 +133,25 @@ class TestRecordingParseErrors:
         with pytest.raises(ValueError, match="does not match channels"):
             read_recording(self.rewrite(lines))
 
+    def with_time(self, sample, value):
+        rec = make_recording(n=8, channels=(7, 8))
+        lines = write_recording(rec, self.tmp / "r.csv").read_text().splitlines()
+        cells = lines[6 + sample].split(",")
+        cells[0] = value
+        lines[6 + sample] = ",".join(cells)
+        return rec, self.rewrite(lines)
+
+    def test_corrupted_timestamp_names_line_and_sample(self):
+        _, path = self.with_time(5, "999")
+        with pytest.raises(
+            ValueError, match=r"line 12: time_s 999.0 does not match sample 5 at 10.0 Hz"
+        ):
+            read_recording(path)
+
+    def test_timestamp_jitter_within_half_a_period_accepted(self):
+        rec, path = self.with_time(5, "0.54")
+        assert np.array_equal(read_recording(path).samples, rec.samples)
+
     def test_duration_mismatch_rejected(self):
         lines = self.base_lines()
         lines[3] = "# duration_s: 99"

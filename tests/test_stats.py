@@ -6,6 +6,7 @@ from scipy.stats import rankdata
 
 from eggwave.simulate import CohortSpec, simulate_cohort
 from eggwave.stats import (
+    _exact_signed_rank_p,
     ChannelComparison,
     comparisons_to_csv,
     comparisons_to_text,
@@ -48,6 +49,15 @@ def wilcoxon_p_bruteforce(diffs):
         if abs(w - mu) >= abs(w_obs - mu):
             hits += 1
     return hits / 2 ** len(ranks)
+
+
+def wilcoxon_p_doubling(ranks, w_plus):
+    """Two-sided signed-rank p from the 2**n array of all positive-rank sums."""
+    sums = np.zeros(1)
+    for r in ranks:
+        sums = np.concatenate([sums, sums + r])
+    mu = ranks.sum() / 2.0
+    return float(np.count_nonzero(np.abs(sums - mu) >= abs(w_plus - mu)) / sums.size)
 
 
 class TestLilliefors:
@@ -146,6 +156,17 @@ class TestWilcoxon:
                 continue
             exact = wilcoxon_signed_rank(d).p_value
             assert exact == pytest.approx(wilcoxon_p_bruteforce(d), abs=1e-12)
+
+    def test_exact_null_equals_doubling_enumeration(self):
+        # The counting DP must give the very float the 2**n doubling gave.
+        rng = np.random.default_rng(34)
+        for n in range(3, 21):
+            for _ in range(3):
+                d = rng.integers(-4, 5, size=n).astype(float)
+                d[d == 0.0] = 1.0
+                ranks = rankdata(np.abs(d))
+                w_plus = float(ranks[d > 0].sum())
+                assert _exact_signed_rank_p(ranks, w_plus) == wilcoxon_p_doubling(ranks, w_plus)
 
     def test_large_sample_approximation_is_close(self):
         rng = np.random.default_rng(33)

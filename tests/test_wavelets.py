@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eggwave.wavelets import (
     COIFLET1_POINT,
@@ -19,6 +21,7 @@ from eggwave.wavelets import (
     pollen_filter,
     pseudo_frequency,
     quadrature_mirror,
+    resolve_wavelet,
     select_scales,
 )
 
@@ -260,6 +263,108 @@ class TestInverseTransform:
         x = Signal(np.arange(16.0), sample_period_s=0.25)
         f = named_wavelet("haar")
         assert dwt_inverse(dwt_forward(x, f, 2), f).sample_period_s == 0.25
+
+
+def reference_analysis_step(v, h, g):
+    """Direct Mallat pyramid step: circular gather of every tap."""
+    if v.size % 2:
+        v = np.append(v, v[-1])
+    n = v.size
+    starts = np.arange(0, n, 2)
+    approx = np.zeros(n // 2)
+    detail = np.zeros(n // 2)
+    for m in range(h.size):
+        vm = v[(starts + m) % n]
+        approx += h[m] * vm
+        detail += g[m] * vm
+    return approx, detail
+
+
+def reference_synthesis_step(approx, detail, h, g, out_len):
+    """Direct inverse step: circular scatter-add of every tap."""
+    n = 2 * approx.size
+    out = np.zeros(n)
+    starts = np.arange(0, n, 2)
+    for m in range(h.size):
+        out[(starts + m) % n] += h[m] * approx + g[m] * detail
+    return out[:out_len]
+
+
+def reference_inverse(coeffs, filters):
+    """Direct inverse pyramid, coarsest level first."""
+    v = coeffs.approximation
+    for d, n_true in zip(coeffs.details[::-1], coeffs.input_lengths[::-1]):
+        v = reference_synthesis_step(v, d, filters.h, filters.g, n_true)
+    return v
+
+
+plane_points = st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+wavelet_specs = st.one_of(st.sampled_from(NAMED), plane_points)
+
+
+@st.composite
+def lengths_and_depths(draw):
+    levels = draw(st.integers(1, 7))
+    n = draw(st.integers(2**levels, 2**levels + 300))
+    return n, levels
+
+
+class TestKernelOracle:
+    """The sliced kernels must reproduce the direct pyramid bit for bit."""
+
+    def assert_matches_reference(self, x, filters, levels):
+        coeffs = dwt_forward(x, filters, levels)
+        v = np.asarray(x, dtype=float)
+        for d in coeffs.details:
+            v, want = reference_analysis_step(v, filters.h, filters.g)
+            assert np.array_equal(d, want)
+        assert np.array_equal(coeffs.approximation, v)
+        # Thresholded coefficients exercise the inverse off the identity.
+        sparse = coeffs.with_flat(
+            np.where(np.arange(coeffs.total_count) % 3 == 0, coeffs.to_flat(), 0.0)
+        )
+        for c in (coeffs, sparse):
+            assert np.array_equal(dwt_inverse(c, filters).samples, reference_inverse(c, filters))
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=lengths_and_depths(), wavelet=wavelet_specs, seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_direct_pyramid(self, case, wavelet, seed):
+        n, levels = case
+        x = np.random.default_rng(seed).standard_normal(n)
+        self.assert_matches_reference(x, resolve_wavelet(wavelet), levels)
+
+    @pytest.mark.parametrize("name", NAMED)
+    @pytest.mark.parametrize("levels", [1, 2, 5, 7])
+    def test_coarsest_band_shorter_than_filter_lag(self, name, levels):
+        # At length 2**levels the coarsest levels have fewer samples than
+        # the filter spans, so the circular extension wraps several times.
+        x = np.random.default_rng(levels).standard_normal(2**levels)
+        self.assert_matches_reference(x, named_wavelet(name), levels)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_tiny_signals_with_six_taps(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        self.assert_matches_reference(x, pollen_filter(0.3, -2.1), 1)
+
+
+class TestTransformProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(case=lengths_and_depths(), wavelet=wavelet_specs, seed=st.integers(0, 2**32 - 1))
+    def test_perfect_reconstruction_any_length(self, case, wavelet, seed):
+        n, levels = case
+        filters = resolve_wavelet(wavelet)
+        x = np.random.default_rng(seed).standard_normal(n)
+        recon = dwt_inverse(dwt_forward(x, filters, levels), filters).samples
+        assert recon.size == n
+        assert np.max(np.abs(recon - x)) <= 1e-10 * np.max(np.abs(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(point=plane_points)
+    def test_plane_points_are_admissible(self, point):
+        filters = pollen_filter(*point)
+        # Re-validating the taps runs every FilterPair admissibility check.
+        FilterPair(h=filters.h, g=filters.g)
+        assert filter_invariant_errors(filters.h) <= 1e-10
 
 
 class TestCenterFrequency:
