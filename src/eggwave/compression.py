@@ -99,6 +99,12 @@ def keep_largest(coeffs: DwtCoefficients, keep: int) -> DwtCoefficients:
     Retained values are copied bit-exactly; magnitude ties at the cutoff
     are resolved toward the smaller flat index (flat order: coarsest
     approximation first, then details coarse to fine).
+
+    Keep sets are nested, so the PRD of the reconstruction cannot rise as
+    ``keep`` grows, provided the signal length is a multiple of
+    ``2**levels``.  Otherwise an odd-length level repeats its last sample,
+    the transform is no longer orthonormal, and one more kept coefficient
+    can raise the PRD.
     """
     total = coeffs.total_count
     if int(keep) != keep or not 1 <= keep <= total:
@@ -129,7 +135,9 @@ def compress(x, config: CompressionConfig = CompressionConfig()) -> CompressionR
 
     Runs the forward transform, keeps the ``floor(total / cr)`` largest
     coefficients (at least one), reconstructs, and scores the PRD against
-    the original samples.  Deterministic for identical inputs.
+    the original samples.  Deterministic for identical inputs.  PRD is
+    non-increasing in the kept count only when ``len(x)`` is a multiple
+    of ``2**levels``; see :func:`keep_largest`.
     """
     signal = x if isinstance(x, Signal) else Signal(x)
     filters = resolve_wavelet(config.wavelet)

@@ -102,11 +102,11 @@ def write_recording(recording: RecordingFile, path) -> Path:
         "# channels: " + ",".join(str(c) for c in recording.channel_ids),
         "time_s," + ",".join(f"ch{c}" for c in recording.channel_ids),
     ]
-    period = 1.0 / recording.sample_rate_hz
-    for i in range(recording.n_samples):
-        cells = [_SAMPLE_FORMAT % (i * period)]
-        cells.extend(_SAMPLE_FORMAT % v for v in recording.samples[i])
-        lines.append(",".join(cells))
+    # arange(n) * period is the same IEEE product as i * period.
+    times = np.arange(recording.n_samples) * (1.0 / recording.sample_rate_hz)
+    row_format = ",".join([_SAMPLE_FORMAT] * (len(recording.channel_ids) + 1))
+    table = np.column_stack([times, recording.samples]).tolist()
+    lines.extend(row_format % tuple(row) for row in table)
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
     return path
 
@@ -144,6 +144,23 @@ def _parse_cell(token, path, line_no, column_no):
     return value
 
 
+def _parse_body(body, path, first_line_no, n_columns):
+    rows = []
+    for offset, line in enumerate(body):
+        if not line:
+            continue
+        line_no = first_line_no + offset
+        tokens = line.split(",")
+        if len(tokens) != n_columns:
+            raise ValueError(
+                f"{path}: line {line_no}: expected {n_columns} columns, found {len(tokens)}"
+            )
+        rows.append(
+            [_parse_cell(t, path, line_no, c + 1) for c, t in enumerate(tokens)]
+        )
+    return np.asarray(rows, dtype=np.float64)
+
+
 def _parse_header_number(fields, key, path):
     try:
         value = float(fields[key])
@@ -176,26 +193,24 @@ def read_recording(path) -> RecordingFile:
             f"{lines[body_start]!r} does not match channels; expected {expected_columns!r}"
         )
 
-    n_columns = len(channel_ids) + 1
-    rows = []
-    line_nos = []
-    for offset, line in enumerate(lines[body_start + 1 :]):
-        line_no = body_start + 2 + offset
-        if not line:
-            continue
-        line_nos.append(line_no)
-        tokens = line.split(",")
-        if len(tokens) != n_columns:
-            raise ValueError(
-                f"{path}: line {line_no}: expected {n_columns} columns, found {len(tokens)}"
-            )
-        rows.append(
-            [_parse_cell(t, path, line_no, c + 1) for c, t in enumerate(tokens)]
-        )
-    if not rows:
+    body = lines[body_start + 1 :]
+    first_line_no = body_start + 2
+    line_nos = [first_line_no + i for i, line in enumerate(body) if line]
+    if not line_nos:
         raise ValueError(f"{path}: no data rows after the header")
-
-    matrix = np.asarray(rows, dtype=np.float64)
+    n_columns = len(channel_ids) + 1
+    # Fast path; anything it cannot read as a full finite table goes
+    # through the per-cell parser, which names the offending cell.
+    try:
+        matrix = np.loadtxt(body, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        matrix = None
+    if (
+        matrix is None
+        or matrix.shape != (len(line_nos), n_columns)
+        or not np.isfinite(matrix).all()
+    ):
+        matrix = _parse_body(body, path, first_line_no, n_columns)
     recording = RecordingFile(
         subject=fields["subject"],
         state=fields["state"],

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, stdtr
-from scipy.stats import rankdata
 
 from .compression import CompressionConfig, compress
 from .io import Cohort
@@ -167,6 +166,19 @@ def paired_t(diffs, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
     return TestOutcome("paired-t", t, min(p_value, 1.0), alpha)
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    # Ranks 1..n with ties sharing the mean of their positions.  A tie
+    # group spanning sorted positions start..next_start-1 gets
+    # (start + next_start + 1) / 2, an integer or a half, so the floats
+    # are exact.
+    order = np.argsort(x)
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1], True])
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts[:-1] + starts[1:] + 1), np.diff(starts))
+    return ranks
+
+
 def _exact_signed_rank_p(ranks: np.ndarray, w_plus: float) -> float:
     # Null distribution of the positive-rank sum over all 2**n sign
     # choices, counted by a subset-sum DP over doubled ranks; exact because
@@ -200,7 +212,7 @@ def wilcoxon_signed_rank(diffs, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
             "wilcoxon test needs at least 3 non-zero differences, "
             f"got {n}"
         )
-    ranks = rankdata(np.abs(d))
+    ranks = _midranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     if n <= WILCOXON_EXACT_LIMIT:
         p_value = _exact_signed_rank_p(ranks, w_plus)

@@ -282,3 +282,42 @@ class TestSharedKeepKernel:
             # Keep sets grow by nesting as the kept count grows.
             assert np.isin(previous, result.kept_indices).all()
             previous = result.kept_indices
+
+
+def prd_by_kept(x, filters, levels):
+    """PRD of keep-M reconstructions for M = 1 .. total coefficients."""
+    coeffs = dwt_forward(x, filters, levels)
+    return np.array([
+        prd(x, dwt_inverse(keep_largest(coeffs, m), filters))
+        for m in range(1, coeffs.total_count + 1)
+    ])
+
+
+@st.composite
+def dyadic_signals(draw):
+    levels = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 256 >> levels)) * 2**levels
+    x = draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6, allow_subnormal=False)))
+    assume(float(np.dot(x, x)) > 0.0)
+    return x, levels
+
+
+class TestPrdMonotoneInKept:
+    @settings(max_examples=60, deadline=None)
+    @given(case=dyadic_signals(), wavelet=wavelet_specs)
+    def test_nonincreasing_when_length_divides_by_two_to_the_depth(self, case, wavelet):
+        # Every level is even, so the transform is orthonormal and the
+        # error energy is the energy of the dropped coefficients, which
+        # only shrinks as the nested keep set grows.  PRD is relative to
+        # the signal, so 1e-9 percentage points is far above rounding.
+        x, levels = case
+        prds = prd_by_kept(x, resolve_wavelet(wavelet), levels)
+        assert np.all(np.diff(prds) <= 1e-9)
+
+    def test_odd_level_can_raise_prd(self):
+        # 9 samples at depth 1: the odd level repeats its last sample, the
+        # transform is no longer orthonormal, and keeping a fourth
+        # coefficient raises PRD by about 0.9 percentage points.
+        x = np.random.default_rng(531615).standard_normal(9)
+        prds = prd_by_kept(x, named_wavelet("coiflet-1"), 1)
+        assert prds[3] > prds[2] + 0.5

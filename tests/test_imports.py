@@ -1,0 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import eggwave
+
+SRC = str(Path(eggwave.__file__).resolve().parents[1])
+
+
+def modules_after(statement):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    probe = f"{statement}; import sys; print('\\n'.join(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return set(out.stdout.split())
+
+
+@pytest.mark.parametrize("statement", ["import eggwave", "import eggwave.cli"])
+def test_import_leaves_scipy_stats_out(statement):
+    # Every CLI command pays its imports; scipy.stats alone costs about a second.
+    loaded = modules_after(statement)
+    assert "eggwave" in loaded
+    assert "scipy.stats" not in loaded

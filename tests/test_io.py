@@ -1,5 +1,12 @@
+import math
+import sys
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eggwave.io import (
     Cohort,
@@ -157,6 +164,130 @@ class TestRecordingParseErrors:
         lines[3] = "# duration_s: 99"
         with pytest.raises(ValueError, match="does not match"):
             read_recording(self.rewrite(lines))
+
+
+def reference_body(lines, path, body_start):
+    """Per-cell parse of the data rows by the reader's rules: the sample
+    matrix (time column included), or the message the reader must raise."""
+    n_columns = len(lines[body_start].split(","))
+    rows = []
+    for offset, line in enumerate(lines[body_start + 1 :]):
+        line_no = body_start + 2 + offset
+        if not line:
+            continue
+        tokens = line.split(",")
+        if len(tokens) != n_columns:
+            return f"{path}: line {line_no}: expected {n_columns} columns, found {len(tokens)}"
+        row = []
+        for column, token in enumerate(tokens, 1):
+            try:
+                value = float(token)
+            except ValueError:
+                return f"{path}: line {line_no}, column {column}: invalid number {token!r}"
+            if not math.isfinite(value):
+                return f"{path}: line {line_no}, column {column}: non-finite value {token!r}"
+            row.append(value)
+        rows.append(row)
+    if not rows:
+        return f"{path}: no data rows after the header"
+    return np.array(rows, dtype=np.float64)
+
+
+# Each mutation rewrites one data row's cells: a function of the cells,
+# or a token written into one sample cell.
+ROW_MUTATIONS = {
+    "whitespace-line": lambda cells: ["   "],
+    "trailing-comma": lambda cells: cells + [""],
+    "short-row": lambda cells: cells[:-1],
+    "long-row": lambda cells: cells + ["1.0"],
+    **{f"cell {t!r}": t for t in ["1_0", " 1.5 ", "+.5", "nan", "inf", "1e999", "", "1 2", "0x10"]},
+}
+
+
+class TestReadFastPath:
+    """The vectorised reader must agree with the per-cell rules on every
+    input: same samples bit for bit, or the same path/line/column message."""
+
+    @pytest.mark.parametrize("name", ROW_MUTATIONS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_mutated_row_matches_reference(self, tmp_path_factory, name, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        channels = tuple(range(7, 7 + data.draw(st.integers(1, 4), label="k")))
+        rec = make_recording(n=n, channels=channels, seed=data.draw(st.integers(0, 9)))
+        path = tmp_path_factory.mktemp("fast") / "r.csv"
+        lines = write_recording(rec, path).read_text().splitlines()
+        row = 6 + data.draw(st.integers(0, n - 1), label="row")
+        cells = lines[row].split(",")
+        mutation = ROW_MUTATIONS[name]
+        if isinstance(mutation, str):
+            cells[data.draw(st.integers(1, len(channels)), label="column")] = mutation
+        else:
+            cells = mutation(cells)
+        lines[row] = ",".join(cells)
+        # Blank lines are skipped but still counted in line numbers.
+        for _ in range(data.draw(st.integers(0, 2), label="blanks")):
+            lines.insert(data.draw(st.integers(6, len(lines)), label="at"), "")
+        path.write_text("\n".join(lines) + "\n")
+
+        expected = reference_body(lines, path, 5)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as error:
+                read_recording(path)
+            assert str(error.value) == expected
+        else:
+            assert read_recording(path).samples.tobytes() == expected[:, 1:].tobytes()
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_empty_body_rejected_without_warning(self, tmp_path, body):
+        lines = write_recording(make_recording(n=4), tmp_path / "r.csv").read_text().splitlines()
+        path = tmp_path / "empty.csv"
+        path.write_text("\n".join(lines[:6]) + "\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows after the header"):
+                read_recording(path)
+
+
+# Signed zeros, the smallest and largest subnormals, the smallest normal
+# and the largest finite magnitude.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, sys.float_info.min,
+               sys.float_info.max, -sys.float_info.max]
+
+
+def row_by_row(rec):
+    """Data rows formatted one cell at a time, as the writer always has."""
+    period = 1.0 / rec.sample_rate_hz
+    return [
+        ",".join(["%.17g" % (i * period)] + ["%.17g" % v for v in rec.samples[i]])
+        for i in range(rec.n_samples)
+    ]
+
+
+@st.composite
+def recordings(draw):
+    n = draw(st.integers(1, 30))
+    ids = draw(st.lists(st.integers(0, 99), min_size=1, max_size=5, unique=True))
+    elements = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+    return RecordingFile(
+        subject="dog00",
+        state="basal",
+        sample_rate_hz=draw(st.floats(1e-300, 1e300)),
+        channel_ids=ids,
+        samples=draw(arrays(np.float64, (n, len(ids)), elements=elements)),
+    )
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(rec=recordings())
+    def test_arbitrary_finite_floats_round_trip(self, tmp_path_factory, rec):
+        path = write_recording(rec, tmp_path_factory.mktemp("rt") / "r.csv")
+        assert path.read_text().splitlines()[6:] == row_by_row(rec)
+        back = read_recording(path)
+        assert back.sample_rate_hz == rec.sample_rate_hz
+        assert back.channel_ids == rec.channel_ids
+        assert np.array_equal(back.samples.view(np.int64), rec.samples.view(np.int64))
 
 
 class TestManifest:

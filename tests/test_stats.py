@@ -2,11 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from eggwave import stats
 from eggwave.simulate import CohortSpec, simulate_cohort
 from eggwave.stats import (
     _exact_signed_rank_p,
+    _midranks,
     ChannelComparison,
     comparisons_to_csv,
     comparisons_to_text,
@@ -181,6 +185,65 @@ class TestWilcoxon:
         w = ranks[d > 0].sum()
         exact = np.count_nonzero(np.abs(sums - mu) >= abs(w - mu)) / sums.size
         assert approx == pytest.approx(exact, abs=0.01)
+
+
+def wilcoxon_fixtures():
+    yield [0.5, 1.0, 1.5, 2.0, 2.5]
+    yield [-1.0, 1.0, -2.0, 2.0]
+    yield [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 0.0]
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        yield rng.standard_normal(int(rng.integers(3, 13))) + rng.uniform(-0.5, 0.5)
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        d = rng.integers(-3, 4, size=int(rng.integers(4, 12))).astype(float)
+        if np.count_nonzero(d) >= 3:
+            yield d
+    yield np.random.default_rng(33).standard_normal(24) + 0.3
+    # Past the exact limit with heavy ties: the normal approximation's
+    # tie correction reads the rank multiplicities.
+    yield np.random.default_rng(35).integers(-4, 5, size=40).astype(float)
+
+
+def vectors(elements):
+    return st.lists(elements, min_size=1, max_size=40).map(np.array)
+
+
+class TestMidranks:
+    """``_midranks`` must be scipy's ``rankdata(method="average")`` exactly."""
+
+    @staticmethod
+    def check(x):
+        x = np.asarray(x, dtype=np.float64)
+        ranks = _midranks(x)
+        assert ranks.dtype == np.float64
+        assert np.array_equal(ranks, rankdata(x))
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_named_tie_patterns(self, n):
+        self.check(np.full(n, 2.5))  # all equal
+        self.check(np.arange(n) % 3)  # many equal
+        self.check(np.abs(np.resize([1.0, -1.0, 2.0, -2.0], n)))  # +-equal magnitudes
+        self.check(np.arange(n)[::-1])  # distinct, reversed
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=vectors(st.integers(-5, 5).map(float)))
+    def test_integer_valued(self, x):
+        self.check(x)
+        self.check(np.abs(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=vectors(st.floats(-1e6, 1e6, allow_nan=False)))
+    def test_continuous(self, x):
+        self.check(x)
+
+    @pytest.mark.parametrize("case", list(wilcoxon_fixtures()))
+    def test_wilcoxon_unchanged_against_rankdata(self, case, monkeypatch):
+        outcome = wilcoxon_signed_rank(case)
+        monkeypatch.setattr(stats, "_midranks", rankdata)
+        before = wilcoxon_signed_rank(case)
+        assert outcome.statistic == before.statistic
+        assert outcome.p_value == before.p_value
 
 
 class TestComparePaired:
