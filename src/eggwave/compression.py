@@ -17,8 +17,8 @@ from .wavelets import (
     FilterPair,
     Signal,
     as_samples,
+    _inverse_rows,
     dwt_forward,
-    dwt_inverse,
     resolve_wavelet,
     select_scales,
 )
@@ -140,20 +140,32 @@ def compress(x, config: CompressionConfig = CompressionConfig()) -> CompressionR
     of ``2**levels``; see :func:`keep_largest`.
     """
     signal = x if isinstance(x, Signal) else Signal(x)
+    return _compress_ratios(signal, config, (config.cr,))[0]
+
+
+def _compress_ratios(signal: Signal, config: CompressionConfig, crs) -> list:
+    # compress at every ratio in ``crs`` (``config.cr`` is not used): the
+    # depth search and the forward transform do not depend on the ratio,
+    # so they run once, and all the reconstructions come out of one
+    # stacked inverse pass.  Each result equals compress at that ratio.
     filters = resolve_wavelet(config.wavelet)
     levels = config.resolve_levels(filters, signal.sample_period_s, len(signal))
     coeffs = dwt_forward(signal, filters, levels)
     total = coeffs.total_count
-    kept = max(1, int(total // config.cr))
     flat = coeffs.to_flat()
-    mask = _keep_mask(flat, kept)
-    reconstruction = dwt_inverse(coeffs.with_flat(np.where(mask, flat, 0.0)), filters)
-    return CompressionResult(
-        reconstruction=reconstruction,
-        kept=kept,
-        total_coefficients=total,
-        prd_percent=prd(signal, reconstruction),
-        kept_indices=np.flatnonzero(mask),
-        levels=levels,
-        cr=float(config.cr),
-    )
+    kept = [max(1, int(total // cr)) for cr in crs]
+    masks = np.stack([_keep_mask(flat, keep) for keep in kept])
+    rows = _inverse_rows(np.where(masks, flat, 0.0), coeffs, filters)
+    results = []
+    for cr, keep, mask, row in zip(crs, kept, masks, rows):
+        reconstruction = Signal(row, sample_period_s=coeffs.sample_period_s)
+        results.append(CompressionResult(
+            reconstruction=reconstruction,
+            kept=keep,
+            total_coefficients=total,
+            prd_percent=prd(signal, reconstruction),
+            kept_indices=np.flatnonzero(mask),
+            levels=levels,
+            cr=float(cr),
+        ))
+    return results

@@ -54,8 +54,16 @@ class RecordingFile:
             raise ValueError("samples must form a non-empty 2-D matrix")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must all be finite")
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample rate must be positive")
+        rate = self.sample_rate_hz
+        if not (rate > 0 and math.isfinite(rate)):
+            raise ValueError(f"sample rate must be positive and finite, got {rate!r} Hz")
+        # The writer stamps sample i at i * (1 / rate) and records the
+        # duration n / rate; both must be finite for the file to read back.
+        if not math.isfinite(samples.shape[0] / float(rate)):
+            raise ValueError(
+                f"sample rate {rate!r} Hz is too low: {samples.shape[0]} samples "
+                "would span more seconds than a float can hold"
+            )
         ids = tuple(int(c) for c in self.channel_ids)
         if len(set(ids)) != len(ids):
             raise ValueError("channel ids must be unique")

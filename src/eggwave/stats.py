@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, stdtr
 
-from .compression import CompressionConfig, compress
+from .compression import CompressionConfig, _compress_ratios, compress
 from .io import Cohort
 
 __all__ = [
@@ -313,21 +313,36 @@ def cr_sweep(
     levels="auto",
     alpha: float = DEFAULT_ALPHA,
 ) -> list:
-    """Detection-rate curve over compression ratios for each state pair."""
+    """Detection-rate curve over compression ratios for each state pair.
+
+    Each signal is transformed once, and all its ratios are rebuilt from
+    that one transform in one stacked synthesis pass; the PRDs equal
+    those of :func:`state_prds` at each ratio bit for bit.  Points come
+    ratio by ratio in the order given (duplicates included), then pair
+    by pair.
+    """
     crs = [float(c) for c in crs]
     if not crs:
         raise ValueError("sweep needs at least one compression ratio")
+    # Building each config rejects a bad ratio before any signal is read.
+    configs = [CompressionConfig(wavelet=wavelet, cr=cr, levels=levels) for cr in crs]
+    ratios = list(dict.fromkeys(crs))
+    states = list(dict.fromkeys(state for pair in pairs for state in pair))
+    prds = {
+        (cr, state): {ch: [] for ch in cohort.channel_ids} for cr in ratios for state in states
+    }
+    for subject, state, ch, signal in cohort.signals(states):
+        try:
+            results = _compress_ratios(signal, configs[0], ratios)
+        except ValueError as error:
+            raise ValueError(f"subject {subject}, state {state}, channel {ch}: {error}") from error
+        for cr, result in zip(ratios, results):
+            prds[(cr, state)][ch].append(result.prd_percent)
     points = []
     for cr in crs:
-        cached = {}
         for state_a, state_b in pairs:
-            for state in (state_a, state_b):
-                if state not in cached:
-                    cached[state] = state_prds(cohort, state, wavelet, cr, levels)
-            rows = [
-                compare_paired(cached[state_a][ch], cached[state_b][ch], ch, alpha)
-                for ch in sorted(cached[state_a])
-            ]
+            a, b = prds[(cr, state_a)], prds[(cr, state_b)]
+            rows = [compare_paired(a[ch], b[ch], ch, alpha) for ch in sorted(a)]
             points.append(
                 SweepPoint(
                     cr=cr,

@@ -326,17 +326,27 @@ def _synthesis_step(approx, detail, h, g, out_len):
     # against band index (i - m // 2) mod half, so each tap adds a slice
     # of the left-extended bands to one phase row.  Taps must run in
     # ascending order so each sum equals the direct circular scatter-add
-    # out[(2k + m) mod n] += h[m] a[k] + g[m] d[k] bit for bit.
-    half = approx.size
+    # out[(2k + m) mod n] += h[m] a[k] + g[m] d[k] bit for bit.  Leading
+    # axes are batch axes: every row gets exactly the sums it gets alone.
+    # Phase-major rows and reused products keep a stack of rows in cache.
+    half = approx.shape[-1]
     lag = h.size // 2 - 1
     wrap = np.arange(-lag, half) % half
-    a_ext = approx[wrap]
-    d_ext = detail[wrap]
-    phases = np.zeros((2, half))
+    a_ext = approx.take(wrap, axis=-1)
+    d_ext = detail.take(wrap, axis=-1)
+    phases = np.zeros((2,) + approx.shape)
+    term = np.empty(approx.shape)
+    g_term = np.empty(approx.shape)
     for m in range(h.size):
         s = lag - m // 2
-        phases[m % 2] += h[m] * a_ext[s : s + half] + g[m] * d_ext[s : s + half]
-    return phases.T.reshape(-1)[:out_len]
+        np.multiply(h[m], a_ext[..., s : s + half], out=term)
+        np.multiply(g[m], d_ext[..., s : s + half], out=g_term)
+        term += g_term
+        phases[m % 2] += term
+    out = np.empty(approx.shape[:-1] + (2 * half,))
+    out[..., 0::2] = phases[0]
+    out[..., 1::2] = phases[1]
+    return out[..., :out_len]
 
 
 def dwt_forward(x, filters: FilterPair, levels: int) -> DwtCoefficients:
@@ -403,10 +413,21 @@ def dwt_inverse(coeffs: DwtCoefficients, filters: FilterPair) -> Signal:
     signal sample for sample (perfect reconstruction).
     """
     _check_bookkeeping(coeffs)
-    v = coeffs.approximation
-    for detail, n_true in zip(coeffs.details[::-1], coeffs.input_lengths[::-1]):
-        v = _synthesis_step(v, detail, filters.h, filters.g, n_true)
+    v = _inverse_rows(coeffs.to_flat(), coeffs, filters)
     return Signal(v, sample_period_s=coeffs.sample_period_s)
+
+
+def _inverse_rows(rows: np.ndarray, layout: DwtCoefficients, filters: FilterPair) -> np.ndarray:
+    # Rebuild every row of ``rows`` (shape (..., total), each in
+    # DwtCoefficients.to_flat order with the band sizes of ``layout``) in
+    # one pass of the pyramid; each row comes out bit for bit as alone.
+    pos = layout.approximation.size
+    v = rows[..., :pos]
+    for band, n_true in zip(layout.details[::-1], layout.input_lengths[::-1]):
+        detail = rows[..., pos : pos + band.size]
+        pos += band.size
+        v = _synthesis_step(v, detail, filters.h, filters.g, n_true)
+    return v
 
 
 #: Cascade refinements used to approximate the wavelet function.
@@ -469,6 +490,14 @@ def select_scales(
     """
     if not target_frequency_hz > 0:
         raise ValueError("target frequency must be positive")
+    return _select_scales_cached(filters.h.tobytes(), sample_period_s, target_frequency_hz)
+
+
+@functools.lru_cache(maxsize=512)
+def _select_scales_cached(h_bytes: bytes, sample_period_s: float, target_frequency_hz: float) -> int:
+    # The depth depends on the filters only through h (the center
+    # frequency), so h's bytes key the cache.
+    filters = FilterPair.from_lowpass(np.frombuffer(h_bytes, dtype=np.float64))
     best_level = 1
     best_distance = math.inf
     for level in range(1, MAX_AUTO_LEVELS + 1):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from eggwave.compression import (
     CompressionConfig,
+    _compress_ratios,
     _keep_mask,
     compress,
     keep_largest,
@@ -282,6 +284,62 @@ class TestSharedKeepKernel:
             # Keep sets grow by nesting as the kept count grows.
             assert np.isin(previous, result.kept_indices).all()
             previous = result.kept_indices
+
+
+class TestCompressRatios:
+    """One transform and one stacked inverse must give compress at each ratio."""
+
+    @staticmethod
+    def assert_matches_compress(x, config, crs):
+        signal = Signal(x)
+        results = _compress_ratios(signal, config, crs)
+        assert len(results) == len(crs)
+        filters = resolve_wavelet(config.wavelet)
+        for cr, got in zip(crs, results):
+            want = compress(signal, replace(config, cr=cr))
+            assert got.prd_percent == want.prd_percent
+            assert got.kept == want.kept
+            assert got.total_coefficients == want.total_coefficients
+            assert got.levels == want.levels
+            assert got.cr == want.cr == float(cr)
+            assert np.array_equal(got.kept_indices, want.kept_indices)
+            assert np.array_equal(got.reconstruction.samples, want.reconstruction.samples)
+            assert got.reconstruction.sample_period_s == signal.sample_period_s
+            # The same result from the public building blocks, one row at a time.
+            coeffs = dwt_forward(signal, filters, got.levels)
+            alone = dwt_inverse(keep_largest(coeffs, got.kept), filters)
+            assert np.array_equal(got.reconstruction.samples, alone.samples)
+            assert got.prd_percent == prd(signal, alone)
+
+    @pytest.mark.parametrize("n", [128, 129, 6000, 6001, 1000])
+    @pytest.mark.parametrize("levels", ["auto", 3, 7])
+    def test_unsorted_duplicate_and_extreme_ratios(self, n, levels):
+        # CR 1 keeps every coefficient; 1e9 is above any total here, so it
+        # keeps exactly one.
+        x = np.random.default_rng(n).standard_normal(n)
+        crs = [5.0, 2.0, 5.0, 1.0, 1e9, 3.5, 2.0]
+        config = CompressionConfig(wavelet="daubechies-3", levels=levels)
+        self.assert_matches_compress(x, config, crs)
+        results = _compress_ratios(Signal(x), config, crs)
+        assert results[3].kept == results[3].total_coefficients
+        assert results[4].kept == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=signals_and_depths(),
+        wavelet=wavelet_specs,
+        crs=st.lists(st.one_of(st.floats(1.0, 50.0), st.sampled_from([1.0, 1e9])),
+                     min_size=1, max_size=6),
+        tie_heavy=st.booleans(),
+    )
+    def test_any_ratios_equal_compress(self, case, wavelet, crs, tie_heavy):
+        # Rounding to a coarse grid makes many coefficient magnitudes tie.
+        x, levels = case
+        if tie_heavy:
+            x = np.round(x / 1e5)
+            assume(float(np.dot(x, x)) > 0.0)
+        config = CompressionConfig(wavelet=wavelet, levels=levels)
+        self.assert_matches_compress(x, config, crs)
 
 
 def prd_by_kept(x, filters, levels):

@@ -54,6 +54,24 @@ class TestRecordingValidation:
         with pytest.raises(ValueError, match="channel ids"):
             RecordingFile("d", "basal", 10.0, (7, 8, 9), np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, -1.0, 0.0])
+    def test_rejects_non_finite_or_non_positive_rate(self, rate):
+        with pytest.raises(ValueError, match=f"got {rate!r} Hz"):
+            RecordingFile("d", "basal", rate, (7,), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("rate,n", [(5e-324, 1), (1e-310, 1), (1e-308, 3)])
+    def test_rejects_rate_whose_period_or_duration_overflows(self, rate, n):
+        # 1 / 5e-324 and 1 / 1e-310 overflow; at 1e-308 Hz the period is
+        # finite but the third sample's time (2e308 s) is not.
+        with pytest.raises(ValueError, match=f"sample rate {rate!r} Hz is too low"):
+            RecordingFile("d", "basal", rate, (7,), np.zeros((n, 1)))
+
+    def test_lowest_rate_that_fits_round_trips(self, tmp_path):
+        rec = RecordingFile("d", "basal", 1e-308, (7,), np.array([[1.5]]))
+        back = read_recording(write_recording(rec, tmp_path / "r.csv"))
+        assert back.sample_rate_hz == 1e-308
+        assert np.array_equal(back.samples, rec.samples)
+
     def test_channel_accessor(self):
         rec = make_recording()
         assert np.array_equal(rec.channel(8), rec.samples[:, 1])

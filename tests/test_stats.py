@@ -399,3 +399,49 @@ class TestPipeline:
         for row, scaled_row in zip(rows, scaled_rows):
             assert row.significant == scaled_row.significant
             assert row.p_value == pytest.approx(scaled_row.p_value, rel=1e-6)
+
+
+def cr_sweep_per_ratio(cohort, crs, wavelet="daubechies-3",
+                       pairs=(("basal", "mild"), ("basal", "severe")), levels="auto"):
+    """Sweep by one full state_prds run per ratio and state (the direct form)."""
+    points = []
+    for cr in [float(c) for c in crs]:
+        cached = {}
+        for state_a, state_b in pairs:
+            for state in (state_a, state_b):
+                if state not in cached:
+                    cached[state] = state_prds(cohort, state, wavelet, cr, levels)
+            rows = [
+                compare_paired(cached[state_a][ch], cached[state_b][ch], ch)
+                for ch in sorted(cached[state_a])
+            ]
+            points.append(stats.SweepPoint(
+                cr=cr,
+                state_a=state_a,
+                state_b=state_b,
+                significant_channels=sum(r.significant for r in rows),
+                total_channels=len(rows),
+                detection_percent=detection_rate(rows),
+            ))
+    return points
+
+
+class TestSweepTransformsOnce:
+    @pytest.mark.parametrize("crs,pairs", [
+        ([2.0, 3.0, 4.0, 5.0, 8.0], (("basal", "mild"), ("basal", "severe"))),
+        ([8, 2.5, 8, 3], (("basal", "mild"), ("basal", "severe"))),
+        ([4.0, 2.0], (("mild", "severe"), ("basal", "mild"), ("severe", "basal"))),
+    ])
+    def test_equals_state_prds_per_ratio(self, small_cohort, crs, pairs):
+        points = cr_sweep(small_cohort, crs, pairs=pairs)
+        assert points == cr_sweep_per_ratio(small_cohort, crs, pairs=pairs)
+        assert [p.cr for p in points] == [float(c) for c in crs for _ in pairs]
+
+    def test_explicit_depth_and_plane_wavelet(self, small_cohort):
+        kwargs = dict(wavelet=(0.7, -1.9), levels=5)
+        assert (cr_sweep(small_cohort, [6.0, 2.0], **kwargs)
+                == cr_sweep_per_ratio(small_cohort, [6.0, 2.0], **kwargs))
+
+    def test_ratio_below_one_rejected(self, small_cohort):
+        with pytest.raises(ValueError, match="compression ratio must be at least 1"):
+            cr_sweep(small_cohort, [3.0, 0.5])

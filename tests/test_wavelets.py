@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eggwave.wavelets import (
+    _inverse_rows,
+    _synthesis_step,
     COIFLET1_POINT,
     DAUBECHIES2_POINT,
     DAUBECHIES3_POINT,
@@ -345,6 +347,48 @@ class TestKernelOracle:
     def test_tiny_signals_with_six_taps(self, n):
         x = np.random.default_rng(n).standard_normal(n)
         self.assert_matches_reference(x, pollen_filter(0.3, -2.1), 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        half=st.integers(1, 200),
+        odd=st.booleans(),
+        wavelet=wavelet_specs,
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_synthesis_step_equals_rows_alone(self, half, odd, wavelet, k, seed):
+        f = resolve_wavelet(wavelet)
+        rng = np.random.default_rng(seed)
+        approx, detail = rng.standard_normal((2, k, half))
+        out_len = 2 * half - odd
+        stacked = _synthesis_step(approx, detail, f.h, f.g, out_len)
+        assert stacked.shape == (k, out_len)
+        for i in range(k):
+            alone = _synthesis_step(approx[i], detail[i], f.h, f.g, out_len)
+            assert np.array_equal(stacked[i], alone)
+            assert np.array_equal(alone, reference_synthesis_step(approx[i], detail[i], f.h, f.g, out_len))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=lengths_and_depths(),
+        wavelet=wavelet_specs,
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_inverse_equals_rows_alone(self, case, wavelet, k, seed):
+        # Each row thresholds one transform differently, as a CR sweep does.
+        n, levels = case
+        f = resolve_wavelet(wavelet)
+        rng = np.random.default_rng(seed)
+        coeffs = dwt_forward(rng.standard_normal(n), f, levels)
+        keep = rng.random((k, coeffs.total_count)) < rng.random((k, 1))
+        rows = np.where(keep, coeffs.to_flat(), 0.0)
+        stacked = _inverse_rows(rows, coeffs, f)
+        assert stacked.shape == (k, n)
+        for i in range(k):
+            row = coeffs.with_flat(rows[i])
+            assert np.array_equal(stacked[i], dwt_inverse(row, f).samples)
+            assert np.array_equal(stacked[i], reference_inverse(row, f))
 
 
 class TestTransformProperties:
