@@ -114,8 +114,7 @@ def compress_command(data, wavelet, cr, depth, out):
         wavelet=parse_wavelet(wavelet), cr=cr, levels=parse_depth(depth)
     )
     lines = ["subject,state,channel,kept,total_coefficients,prd_percent"]
-    for subject, state, ch, signal in cohort.signals():
-        result = compress(signal, config)
+    for subject, state, ch, result in cohort.apply(lambda signal: compress(signal, config)):
         lines.append(
             f"{subject},{state},{ch},{result.kept},"
             f"{result.total_coefficients},{result.prd_percent:.6f}"

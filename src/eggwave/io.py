@@ -119,6 +119,17 @@ def write_recording(recording: RecordingFile, path) -> Path:
     return path
 
 
+def _read_ascii(path: Path) -> str:
+    data = path.read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as error:
+        line_no = data.count(b"\n", 0, error.start) + 1
+        raise ValueError(
+            f"{path}: line {line_no}: non-ASCII byte 0x{data[error.start]:02x}"
+        ) from None
+
+
 def _parse_header(lines, path):
     fields = {}
     body_start = 0
@@ -185,7 +196,7 @@ def read_recording(path) -> RecordingFile:
     grid (more than half a period from ``i / sample_rate_hz``) with
     line/column diagnostics."""
     path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
+    lines = _read_ascii(path).splitlines()
     fields, body_start = _parse_header(lines, path)
 
     try:
@@ -283,7 +294,7 @@ def read_manifest(path) -> Manifest:
     files are all reported in a single error.
     """
     path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
+    lines = _read_ascii(path).splitlines()
     seed = None
     entries = []
     seen = set()
@@ -372,6 +383,16 @@ class Cohort:
                 for ch in rec.channel_ids if channels is None else channels:
                     yield subject, state, ch, rec.signal(ch)
 
+    def apply(self, fn, states=None, channels=None):
+        """Yield ``(subject, state, channel, fn(signal))`` in :meth:`signals` order,
+        re-raising a ``ValueError`` from ``fn`` as ``"subject S, state T, channel C: ..."``."""
+        for subject, state, ch, signal in self.signals(states, channels):
+            try:
+                value = fn(signal)
+            except ValueError as error:
+                raise ValueError(f"subject {subject}, state {state}, channel {ch}: {error}") from error
+            yield subject, state, ch, value
+
 
 def write_cohort(cohort: Cohort, out_dir) -> Path:
     """Write every recording plus a manifest under ``out_dir``.
@@ -398,6 +419,7 @@ def load_cohort(manifest) -> Cohort:
     if not isinstance(manifest, Manifest):
         manifest = read_manifest(manifest)
     recordings = {}
+    first = None
     for entry in manifest.entries:
         rec = read_recording(entry.path)
         if rec.subject != entry.subject or rec.state != entry.state:
@@ -405,10 +427,10 @@ def load_cohort(manifest) -> Cohort:
                 f"{entry.path}: header says ({rec.subject}, {rec.state}) but the "
                 f"manifest lists it as ({entry.subject}, {entry.state})"
             )
+        first = first or (entry.path, rec.channel_ids)
+        if rec.channel_ids != first[1]:
+            raise ValueError(
+                f"{entry.path}: channel ids {rec.channel_ids} differ from {first[1]} in {first[0]}"
+            )
         recordings[(entry.subject, entry.state)] = rec
-    cohort = Cohort(recordings=recordings, seed=manifest.seed)
-    ids = cohort.channel_ids
-    for rec in recordings.values():
-        if rec.channel_ids != ids:
-            raise ValueError("recordings disagree on channel ids")
-    return cohort
+    return Cohort(recordings=recordings, seed=manifest.seed)

@@ -195,15 +195,16 @@ def match_cohort(
     surface; its global argmin (optionally refined by a sub-grid pass)
     enters the cohort aggregate.
     """
-    minima = []
-    for subject, _, ch, signal in cohort.signals([state], channels):
+    def best(signal):
         surface = prd_surface(signal, grid, cr=cr, levels=levels)
         if refine:
             surface = refine_surface(signal, surface)
-        a, b, value = surface.argmin
-        minima.append(
-            PlaneMinimum(subject=subject, channel=int(ch), a=a, b=b, prd_percent=value)
-        )
+        return surface.argmin
+
+    minima = [
+        PlaneMinimum(subject=subject, channel=int(ch), a=a, b=b, prd_percent=value)
+        for subject, _, ch, (a, b, value) in cohort.apply(best, [state], channels)
+    ]
     aggregate = aggregate_best([(m.a, m.b) for m in minima])
     return MatchResult(
         minima=tuple(minima), aggregate=aggregate, cr=float(cr), levels=int(levels)

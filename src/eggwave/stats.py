@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, stdtr
 
-from .compression import CompressionConfig, _compress_ratios, compress
+from .compression import CompressionConfig, _compress_ratios
 from .io import Cohort
 
 __all__ = [
@@ -265,6 +265,25 @@ def detection_rate(rows) -> float:
     return 100.0 * sum(r.significant for r in rows) / len(rows)
 
 
+def _prd_table(cohort: Cohort, states, config: CompressionConfig, crs) -> dict:
+    # {(cr, state): {channel: PRD array over sorted subjects}}, states and ratios
+    # de-duplicated in first-seen order; each signal is transformed once.
+    states = list(dict.fromkeys(states))
+    ratios = list(dict.fromkeys(crs))
+    table = {
+        (cr, state): {ch: [] for ch in cohort.channel_ids} for cr in ratios for state in states
+    }
+    traces = cohort.apply(lambda signal: _compress_ratios(signal, config, ratios), states)
+    for _, state, ch, results in traces:
+        for cr, result in zip(ratios, results):
+            table[(cr, state)][ch].append(result.prd_percent)
+    return {key: {ch: np.asarray(v) for ch, v in prds.items()} for key, prds in table.items()}
+
+
+def _compare_channels(prds_a: dict, prds_b: dict, alpha: float) -> list:
+    return [compare_paired(prds_a[ch], prds_b[ch], ch, alpha) for ch in sorted(prds_a)]
+
+
 def state_prds(
     cohort: Cohort,
     state: str,
@@ -278,13 +297,7 @@ def state_prds(
     raises ``ValueError`` naming its subject, state and channel.
     """
     config = CompressionConfig(wavelet=wavelet, cr=cr, levels=levels)
-    prds = {ch: [] for ch in cohort.channel_ids}
-    for subject, _, ch, signal in cohort.signals([state]):
-        try:
-            prds[ch].append(compress(signal, config).prd_percent)
-        except ValueError as error:
-            raise ValueError(f"subject {subject}, state {state}, channel {ch}: {error}") from error
-    return {ch: np.asarray(v) for ch, v in prds.items()}
+    return _prd_table(cohort, [state], config, [cr])[(cr, state)]
 
 
 def compare_states(
@@ -297,12 +310,9 @@ def compare_states(
     alpha: float = DEFAULT_ALPHA,
 ) -> list:
     """Per-channel comparison table between two states of a cohort."""
-    prds_a = state_prds(cohort, state_a, wavelet, cr, levels)
-    prds_b = state_prds(cohort, state_b, wavelet, cr, levels)
-    return [
-        compare_paired(prds_a[ch], prds_b[ch], ch, alpha)
-        for ch in sorted(prds_a)
-    ]
+    config = CompressionConfig(wavelet=wavelet, cr=cr, levels=levels)
+    table = _prd_table(cohort, [state_a, state_b], config, [cr])
+    return _compare_channels(table[(cr, state_a)], table[(cr, state_b)], alpha)
 
 
 def cr_sweep(
@@ -326,23 +336,11 @@ def cr_sweep(
         raise ValueError("sweep needs at least one compression ratio")
     # Building each config rejects a bad ratio before any signal is read.
     configs = [CompressionConfig(wavelet=wavelet, cr=cr, levels=levels) for cr in crs]
-    ratios = list(dict.fromkeys(crs))
-    states = list(dict.fromkeys(state for pair in pairs for state in pair))
-    prds = {
-        (cr, state): {ch: [] for ch in cohort.channel_ids} for cr in ratios for state in states
-    }
-    for subject, state, ch, signal in cohort.signals(states):
-        try:
-            results = _compress_ratios(signal, configs[0], ratios)
-        except ValueError as error:
-            raise ValueError(f"subject {subject}, state {state}, channel {ch}: {error}") from error
-        for cr, result in zip(ratios, results):
-            prds[(cr, state)][ch].append(result.prd_percent)
+    table = _prd_table(cohort, [state for pair in pairs for state in pair], configs[0], crs)
     points = []
     for cr in crs:
         for state_a, state_b in pairs:
-            a, b = prds[(cr, state_a)], prds[(cr, state_b)]
-            rows = [compare_paired(a[ch], b[ch], ch, alpha) for ch in sorted(a)]
+            rows = _compare_channels(table[(cr, state_a)], table[(cr, state_b)], alpha)
             points.append(
                 SweepPoint(
                     cr=cr,

@@ -490,20 +490,10 @@ def select_scales(
     """
     if not target_frequency_hz > 0:
         raise ValueError("target frequency must be positive")
-    return _select_scales_cached(filters.h.tobytes(), sample_period_s, target_frequency_hz)
-
-
-@functools.lru_cache(maxsize=512)
-def _select_scales_cached(h_bytes: bytes, sample_period_s: float, target_frequency_hz: float) -> int:
-    # The depth depends on the filters only through h (the center
-    # frequency), so h's bytes key the cache.
-    filters = FilterPair.from_lowpass(np.frombuffer(h_bytes, dtype=np.float64))
-    best_level = 1
-    best_distance = math.inf
-    for level in range(1, MAX_AUTO_LEVELS + 1):
-        distance = abs(
-            pseudo_frequency(filters, level, sample_period_s) - target_frequency_hz
-        )
-        if distance < best_distance:
-            best_level, best_distance = level, distance
-    return best_level
+    if not sample_period_s > 0:
+        raise ValueError("sample period must be positive")
+    center = center_frequency(filters)
+    return min(
+        range(1, MAX_AUTO_LEVELS + 1),
+        key=lambda level: abs(center / (2.0 ** level * sample_period_s) - target_frequency_hz),
+    )

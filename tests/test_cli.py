@@ -3,6 +3,7 @@ import pytest
 from click.testing import CliRunner
 
 from eggwave.cli import main
+from eggwave.io import read_recording, write_recording
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,34 @@ class TestSurfaceAndMatch:
         lines = out.read_text().splitlines()
         assert lines[0] == "subject,channel,a,b,prd_percent"
         assert len(lines) == 1 + 4 + 1
+
+
+class TestLocatedErrors:
+    def test_compress_names_a_flat_lead(self, tmp_path):
+        result = run(
+            "simulate", "--out", tmp_path, "--subjects", "3", "--duration", "30", "--seed", "5"
+        )
+        assert result.exit_code == 0, result.output
+        path = tmp_path / "recordings" / "dog01_mild.csv"
+        rec = read_recording(path)
+        rec.samples[:, rec.channel_ids.index(10)] = 0.0
+        write_recording(rec, path)
+        result = run("compress", "--data", tmp_path / "manifest.txt")
+        assert result.exit_code == 1
+        assert "Error: subject dog01, state mild, channel 10: " in result.output
+        assert "zero energy" in result.output
+
+    def test_match_names_a_too_short_trace(self, tmp_path):
+        result = run(
+            "simulate", "--out", tmp_path, "--subjects", "3", "--duration", "5", "--seed", "5"
+        )
+        assert result.exit_code == 0, result.output
+        result = run("match", "--data", tmp_path / "manifest.txt", "--grid", "8", "--depth", "6")
+        assert result.exit_code == 1
+        assert (
+            "Error: subject dog00, state basal, channel 7: depth 6 too deep for a 50-sample"
+            in result.output
+        )
 
 
 class TestUsageErrors:

@@ -412,3 +412,71 @@ class TestCohortSignals:
     def test_missing_state_rejected(self):
         with pytest.raises(ValueError, match="no recording for"):
             list(make_cohort().signals(states=["moderate"]))
+
+
+class TestCohortApply:
+    @pytest.mark.parametrize("states,channels", [
+        (None, None),
+        (["mild"], [8]),
+        (["severe", "basal"], [9, 7]),
+    ])
+    def test_yields_signals_order(self, states, channels):
+        cohort = make_cohort()
+        applied = list(cohort.apply(lambda signal: signal.samples.sum(), states, channels))
+        expected = [
+            (subject, state, ch, signal.samples.sum())
+            for subject, state, ch, signal in cohort.signals(states, channels)
+        ]
+        assert applied == expected
+
+    def test_value_error_names_the_trace(self):
+        cohort = make_cohort()
+        victim = cohort.get("dog01", "mild").channel(8)
+
+        def fail_on_8(signal):
+            if np.array_equal(signal.samples, victim):
+                raise ValueError("bad trace")
+            return 0
+
+        with pytest.raises(ValueError, match=r"^subject dog01, state mild, channel 8: bad trace$"):
+            list(cohort.apply(fail_on_8))
+
+    def test_other_errors_pass_through(self):
+        def fail(signal):
+            raise KeyError("untouched")
+
+        with pytest.raises(KeyError, match="untouched"):
+            list(make_cohort().apply(fail))
+
+    def test_selection_errors_are_not_attributed_to_a_trace(self):
+        with pytest.raises(ValueError, match=r"^recording has no channel 99"):
+            list(make_cohort().apply(len, channels=[99]))
+
+
+class TestReadDiagnostics:
+    def test_non_ascii_recording_byte_names_path_and_line(self, tmp_path):
+        path = write_recording(make_recording(), tmp_path / "r.csv")
+        lines = path.read_bytes().split(b"\n")
+        lines[9] = lines[9].replace(b",", "\u00e9,".encode("utf-8"), 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError, match=r"r\.csv: line 10: non-ASCII byte 0xc3$"):
+            read_recording(path)
+
+    def test_non_ascii_manifest_byte_names_path_and_line(self, tmp_path):
+        manifest_path = write_cohort(make_cohort(), tmp_path)
+        lines = manifest_path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"dog00", b"dog\xff0")
+        manifest_path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError, match=r"manifest\.txt: line 3: non-ASCII byte 0xff$"):
+            read_manifest(manifest_path)
+
+    def test_channel_id_mismatch_names_both_files_and_ids(self, tmp_path):
+        manifest_path = write_cohort(make_cohort(), tmp_path)
+        odd = make_recording("dog01", "mild", channels=(7, 8, 99))
+        write_recording(odd, tmp_path / "recordings" / "dog01_mild.csv")
+        message = (
+            r"dog01_mild\.csv: channel ids \(7, 8, 99\) differ from \(7, 8, 9\) "
+            r"in \S*dog00_basal\.csv$"
+        )
+        with pytest.raises(ValueError, match=message):
+            load_cohort(manifest_path)

@@ -239,6 +239,12 @@ class TestMatchCohort:
                 levels=result.levels,
             )
 
+    def test_too_short_recording_names_the_trace(self):
+        cohort = simulate_cohort(CohortSpec(subjects=3, duration_s=5.0, seed=3))
+        message = r"^subject dog00, state basal, channel 9: depth 6 too deep for a 50-sample"
+        with pytest.raises(ValueError, match=message):
+            match_cohort(cohort, "basal", GridSpec(resolution=8), levels=6, channels=[9, 7])
+
     def test_minima_csv_shape(self, match_result):
         _, result = match_result
         lines = minima_to_csv(result).splitlines()

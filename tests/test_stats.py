@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from eggwave import stats
+from eggwave.compression import CompressionConfig, compress
 from eggwave.simulate import CohortSpec, simulate_cohort
 from eggwave.stats import (
     _exact_signed_rank_p,
@@ -445,3 +446,33 @@ class TestSweepTransformsOnce:
     def test_ratio_below_one_rejected(self, small_cohort):
         with pytest.raises(ValueError, match="compression ratio must be at least 1"):
             cr_sweep(small_cohort, [3.0, 0.5])
+
+
+def state_prds_direct(cohort, state, wavelet, cr, levels):
+    """Per-channel PRDs by one compress call per signal (the direct form)."""
+    config = CompressionConfig(wavelet=wavelet, cr=cr, levels=levels)
+    prds = {ch: [] for ch in cohort.channel_ids}
+    for subject in cohort.subjects:
+        rec = cohort.get(subject, state)
+        for ch in rec.channel_ids:
+            prds[ch].append(compress(rec.signal(ch), config).prd_percent)
+    return {ch: np.asarray(v) for ch, v in prds.items()}
+
+
+class TestPrdTableEqualsDirectForm:
+    CASES = [("daubechies-3", "auto"), ((0.7, -1.9), 5)]
+
+    @pytest.mark.parametrize("wavelet,levels", CASES)
+    def test_state_prds(self, small_cohort, wavelet, levels):
+        prds = state_prds(small_cohort, "mild", wavelet, 4.0, levels)
+        expected = state_prds_direct(small_cohort, "mild", wavelet, 4.0, levels)
+        assert list(prds) == list(expected)
+        for ch in expected:
+            assert np.array_equal(prds[ch], expected[ch])
+
+    @pytest.mark.parametrize("wavelet,levels", CASES)
+    def test_compare_states(self, small_cohort, wavelet, levels):
+        a = state_prds_direct(small_cohort, "basal", wavelet, 3.0, levels)
+        b = state_prds_direct(small_cohort, "severe", wavelet, 3.0, levels)
+        expected = [compare_paired(a[ch], b[ch], ch) for ch in sorted(a)]
+        assert compare_states(small_cohort, "basal", "severe", wavelet, 3.0, levels) == expected

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eggwave.wavelets import (
+    MAX_AUTO_LEVELS,
     _inverse_rows,
     _synthesis_step,
     COIFLET1_POINT,
@@ -458,3 +459,22 @@ class TestSelectScales:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             select_scales(named_wavelet("haar"), 0.1, 0.0)
+
+    @pytest.mark.parametrize("period", [0.0, -0.1, math.nan])
+    def test_rejects_bad_period(self, period):
+        with pytest.raises(ValueError, match="sample period must be positive"):
+            select_scales(named_wavelet("haar"), period, self.TARGET)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        wavelet=wavelet_specs,
+        period=st.floats(1e-4, 1e3),
+        target=st.floats(1e-6, 1e3),
+    )
+    def test_is_the_pseudo_frequency_argmin(self, wavelet, period, target):
+        f = resolve_wavelet(wavelet)
+        reference = min(
+            range(1, MAX_AUTO_LEVELS + 1),
+            key=lambda level: abs(pseudo_frequency(f, level, period) - target),
+        )
+        assert select_scales(f, period, target) == reference
