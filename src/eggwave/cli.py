@@ -7,7 +7,6 @@ single-line diagnostic; usage errors exit with status 2.
 
 from __future__ import annotations
 
-import functools
 import math
 from pathlib import Path
 
@@ -15,13 +14,12 @@ import click
 
 from . import __version__
 from .compression import CompressionConfig, compress
-from .io import load_cohort, read_recording, write_cohort
+from .io import Cohort, load_cohort, read_recording, write_cohort
 from .matcher import (
     GridSpec,
+    _scan_trace,
     match_cohort,
     minima_to_csv,
-    prd_surface,
-    refine_surface,
     surface_to_csv,
     surface_to_pgm,
 )
@@ -62,18 +60,17 @@ def parse_depth(text: str):
         raise ValueError(f"depth must be an integer or 'auto', got {text!r}") from None
 
 
-def data_errors_exit_1(command):
-    @functools.wraps(command)
-    def wrapper(*args, **kwargs):
+class _DataErrorsExit1(click.Group):
+    """Group whose subcommands report a data error as one "Error: ..." line, exit 1."""
+
+    def invoke(self, ctx):
         try:
-            return command(*args, **kwargs)
+            return super().invoke(ctx)
         except (ValueError, OSError) as error:
             raise click.ClickException(str(error))
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_DataErrorsExit1)
 @click.version_option(version=__version__)
 def main():
     """Wavelet-compression screening of multichannel EGG recordings."""
@@ -86,7 +83,6 @@ def main():
 @click.option("--duration", default=600.0, show_default=True, help="Recording length in seconds.")
 @click.option("--rate", default=10.0, show_default=True, help="Sample rate in Hz.")
 @click.option("--seed", default=0, show_default=True, help="Cohort seed.")
-@data_errors_exit_1
 def simulate(out, subjects, channels, duration, rate, seed):
     """Simulate a basal/mild/severe cohort and write it with a manifest."""
     spec = CohortSpec(
@@ -106,13 +102,12 @@ def simulate(out, subjects, channels, duration, rate, seed):
 @click.option("--cr", default=3.0, show_default=True, help="Compression ratio (>= 1).")
 @click.option("--depth", default="auto", show_default=True, help="Decomposition depth or 'auto'.")
 @click.option("--out", type=click.Path(), default=None, help="Write the PRD table to this CSV.")
-@data_errors_exit_1
 def compress_command(data, wavelet, cr, depth, out):
     """Per-channel PRD table for every recording of a cohort."""
-    cohort = load_cohort(data)
     config = CompressionConfig(
         wavelet=parse_wavelet(wavelet), cr=cr, levels=parse_depth(depth)
     )
+    cohort = load_cohort(data)
     lines = ["subject,state,channel,kept,total_coefficients,prd_percent"]
     for subject, state, ch, result in cohort.apply(lambda signal: compress(signal, config)):
         lines.append(
@@ -136,13 +131,14 @@ def compress_command(data, wavelet, cr, depth, out):
 @click.option("--refine", is_flag=True, help="Re-scan one cell around the minimum.")
 @click.option("--out-csv", type=click.Path(), default=None, help="Surface CSV output.")
 @click.option("--out-pgm", type=click.Path(), default=None, help="Surface PGM raster output.")
-@data_errors_exit_1
 def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
     """PRD surface of one recording channel over the filter plane."""
-    signal = read_recording(recording).signal(channel)
-    scan = prd_surface(signal, GridSpec(resolution=grid), cr=cr, levels=depth)
-    if refine:
-        scan = refine_surface(signal, scan)
+    spec = GridSpec(resolution=grid)
+    CompressionConfig(cr=cr, levels=depth)  # rejects a bad ratio or depth before any read
+    rec = read_recording(recording)
+    [(_, _, _, scan)] = Cohort({(rec.subject, rec.state): rec}).apply(
+        lambda signal: _scan_trace(signal, spec, cr, depth, refine), channels=[channel]
+    )
     a, b, value = scan.argmin
     if out_csv:
         surface_to_csv(scan, out_csv)
@@ -166,7 +162,6 @@ def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
               help="Comma-separated channel ids, or 'all'.")
 @click.option("--refine", is_flag=True, help="Refine each per-recording minimum.")
 @click.option("--out", type=click.Path(), default=None, help="Write per-recording minima CSV.")
-@data_errors_exit_1
 def match(data, state, grid, cr, depth, channels, refine, out):
     """Best-matching plane point per recording and the cohort aggregate."""
     cohort = load_cohort(data)
@@ -206,7 +201,6 @@ def match(data, state, grid, cr, depth, channels, refine, out):
 @click.option("--alpha", default=0.05, show_default=True, help="Significance level.")
 @click.option("--out-csv", type=click.Path(), default=None, help="Comparison table CSV output.")
 @click.option("--out-text", type=click.Path(), default=None, help="Aligned text table output.")
-@data_errors_exit_1
 def stats_command(data, pair, wavelet, cr, depth, alpha, out_csv, out_text):
     """Per-channel paired comparison table between two states."""
     state_a, sep, state_b = pair.partition(":")
@@ -240,7 +234,6 @@ def stats_command(data, pair, wavelet, cr, depth, alpha, out_csv, out_text):
 @click.option("--depth", default="auto", show_default=True, help="Decomposition depth or 'auto'.")
 @click.option("--alpha", default=0.05, show_default=True, help="Significance level.")
 @click.option("--out", type=click.Path(), default=None, help="Sweep curve CSV output.")
-@data_errors_exit_1
 def sweep(data, crs, wavelet, depth, alpha, out):
     """Detection-rate curves over compression ratios."""
     try:

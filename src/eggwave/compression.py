@@ -8,7 +8,7 @@ root-mean-square difference (PRD) against the original samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,16 +38,18 @@ DEFAULT_TARGET_FREQUENCY_HZ = 5.0 / 60.0
 
 @dataclass(frozen=True)
 class CompressionConfig:
-    """Settings for one compression run.
+    """Settings for one compression run, checked once when it is built.
 
     ``levels`` may be an explicit depth or ``"auto"``, which picks the
-    depth whose coarsest band lies nearest ``target_frequency_hz``.
+    depth whose coarsest band lies nearest ``DEFAULT_TARGET_FREQUENCY_HZ``.
+    ``filters`` holds the resolved ``wavelet``, so a bad name or an
+    off-plane point fails here, not on the first signal.
     """
 
     wavelet: object = "daubechies-3"
     cr: float = 3.0
     levels: object = "auto"
-    target_frequency_hz: float = DEFAULT_TARGET_FREQUENCY_HZ
+    filters: FilterPair = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.cr >= 1.0:
@@ -57,12 +59,11 @@ class CompressionConfig:
                 raise ValueError(f"levels must be an integer or 'auto', got {self.levels!r}")
         elif int(self.levels) != self.levels or self.levels < 1:
             raise ValueError("levels must be a positive integer or 'auto'")
-        if not self.target_frequency_hz > 0:
-            raise ValueError("target frequency must be positive")
+        object.__setattr__(self, "filters", resolve_wavelet(self.wavelet))
 
-    def resolve_levels(self, filters: FilterPair, sample_period_s: float, n_samples: int) -> int:
+    def resolve_levels(self, sample_period_s: float, n_samples: int) -> int:
         if self.levels == "auto":
-            chosen = select_scales(filters, sample_period_s, self.target_frequency_hz)
+            chosen = select_scales(self.filters, sample_period_s, DEFAULT_TARGET_FREQUENCY_HZ)
             max_depth = int(np.floor(np.log2(n_samples)))
             return min(chosen, max_depth)
         return int(self.levels)
@@ -148,14 +149,13 @@ def _compress_ratios(signal: Signal, config: CompressionConfig, crs) -> list:
     # depth search and the forward transform do not depend on the ratio,
     # so they run once, and all the reconstructions come out of one
     # stacked inverse pass.  Each result equals compress at that ratio.
-    filters = resolve_wavelet(config.wavelet)
-    levels = config.resolve_levels(filters, signal.sample_period_s, len(signal))
-    coeffs = dwt_forward(signal, filters, levels)
+    levels = config.resolve_levels(signal.sample_period_s, len(signal))
+    coeffs = dwt_forward(signal, config.filters, levels)
     total = coeffs.total_count
     flat = coeffs.to_flat()
     kept = [max(1, int(total // cr)) for cr in crs]
     masks = np.stack([_keep_mask(flat, keep) for keep in kept])
-    rows = _inverse_rows(np.where(masks, flat, 0.0), coeffs, filters)
+    rows = _inverse_rows(np.where(masks, flat, 0.0), coeffs, config.filters)
     results = []
     for cr, keep, mask, row in zip(crs, kept, masks, rows):
         reconstruction = Signal(row, sample_period_s=coeffs.sample_period_s)

@@ -230,13 +230,16 @@ def read_recording(path) -> RecordingFile:
         or not np.isfinite(matrix).all()
     ):
         matrix = _parse_body(body, path, first_line_no, n_columns)
-    recording = RecordingFile(
-        subject=fields["subject"],
-        state=fields["state"],
-        sample_rate_hz=sample_rate,
-        channel_ids=channel_ids,
-        samples=matrix[:, 1:],
-    )
+    try:
+        recording = RecordingFile(
+            subject=fields["subject"],
+            state=fields["state"],
+            sample_rate_hz=sample_rate,
+            channel_ids=channel_ids,
+            samples=matrix[:, 1:],
+        )
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
     times = matrix[:, 0]
     off_grid = np.flatnonzero(
         np.abs(times - np.arange(times.size) / sample_rate) > 0.5 / sample_rate
@@ -326,7 +329,11 @@ def read_manifest(path) -> Manifest:
         if (subject, state) in seen:
             raise ValueError(f"{path}: duplicate entry for ({subject}, {state})")
         seen.add((subject, state))
-        entries.append(ManifestEntry(subject, state, (path.parent / rel).resolve()))
+        try:
+            rec_path = (path.parent / rel).resolve()
+        except ValueError as error:  # e.g. an embedded NUL byte
+            raise ValueError(f"{path}: line {i + 1}: bad recording path {rel!r}: {error}") from None
+        entries.append(ManifestEntry(subject, state, rec_path))
     if not entries:
         raise ValueError(f"{path}: manifest lists no recordings")
 

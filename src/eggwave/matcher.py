@@ -118,6 +118,13 @@ def refine_surface(x, surface: PrdSurface, resolution: int = 8) -> PrdSurface:
     return prd_surface(x, grid, cr=surface.cr, levels=surface.levels)
 
 
+def _scan_trace(x, grid: GridSpec, cr: float, levels: int, refine: bool) -> PrdSurface:
+    # Looks the module-global scanners up at call time, so a wrapper
+    # installed on this module sees every call.
+    surface = prd_surface(x, grid, cr=cr, levels=levels)
+    return refine_surface(x, surface) if refine else surface
+
+
 def surface_minima(surface: PrdSurface) -> list:
     """Ranked minima of a surface as ``(a, b, prd)`` triples.
 
@@ -127,19 +134,19 @@ def surface_minima(surface: PrdSurface) -> list:
     prd = surface.prd
     rows, cols = prd.shape
     global_a, global_b, global_value = surface.argmin
+    # Compare every node with each of its 8 neighbours at once; the inf
+    # border stands in for the neighbours an edge node does not have.
+    padded = np.pad(prd, 1, constant_values=np.inf)
+    is_min = np.ones(prd.shape, dtype=bool)
+    for di in range(3):
+        for dj in range(3):
+            if (di, dj) != (1, 1):
+                is_min &= prd < padded[di : di + rows, dj : dj + cols]
     locals_ = []
-    for i in range(rows):
-        for j in range(cols):
-            value = prd[i, j]
-            window = prd[
-                max(0, i - 1) : min(rows, i + 2), max(0, j - 1) : min(cols, j + 2)
-            ]
-            # The window contains the node itself, so strict dominance of
-            # all neighbours means exactly one entry is <= value.
-            if np.count_nonzero(window <= value) == 1:
-                a, b = float(surface.a_values[i]), float(surface.b_values[j])
-                if (a, b) != (global_a, global_b):
-                    locals_.append((a, b, float(value)))
+    for i, j in np.argwhere(is_min):
+        a, b = float(surface.a_values[i]), float(surface.b_values[j])
+        if (a, b) != (global_a, global_b):
+            locals_.append((a, b, float(prd[i, j])))
     locals_.sort(key=lambda t: (t[2], t[0], t[1]))
     return [(global_a, global_b, global_value)] + locals_
 
@@ -195,15 +202,13 @@ def match_cohort(
     surface; its global argmin (optionally refined by a sub-grid pass)
     enters the cohort aggregate.
     """
-    def best(signal):
-        surface = prd_surface(signal, grid, cr=cr, levels=levels)
-        if refine:
-            surface = refine_surface(signal, surface)
-        return surface.argmin
-
+    CompressionConfig(cr=cr, levels=levels)  # rejects a bad ratio or depth before any trace
+    traces = cohort.apply(
+        lambda signal: _scan_trace(signal, grid, cr, levels, refine).argmin, [state], channels
+    )
     minima = [
         PlaneMinimum(subject=subject, channel=int(ch), a=a, b=b, prd_percent=value)
-        for subject, _, ch, (a, b, value) in cohort.apply(best, [state], channels)
+        for subject, _, ch, (a, b, value) in traces
     ]
     aggregate = aggregate_best([(m.a, m.b) for m in minima])
     return MatchResult(

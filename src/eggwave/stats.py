@@ -61,6 +61,10 @@ class TestOutcome:
     significant_at: float
 
     def __post_init__(self):
+        if not 0.0 < self.significant_at < 1.0:
+            raise ValueError(
+                f"significance level must be in (0, 1), got {self.significant_at!r}"
+            )
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 

@@ -434,31 +434,29 @@ def _inverse_rows(rows: np.ndarray, layout: DwtCoefficients, filters: FilterPair
 CASCADE_ITERATIONS = 10
 
 
-def center_frequency(filters: FilterPair, iterations: int = CASCADE_ITERATIONS) -> float:
+def center_frequency(filters: FilterPair) -> float:
     """Spectral peak of the wavelet, in cycles per sample.
 
-    The wavelet function is approximated by ``iterations`` cascade
-    refinements (dyadic grid of spacing ``2**-iterations``) and the DFT
-    magnitude peak over positive frequencies is returned, read on the raw
-    DFT bin grid whose spacing ``1/(L - 1)`` is set by the filter support.
+    The wavelet function is approximated by ``CASCADE_ITERATIONS`` cascade
+    refinements (dyadic grid of spacing ``2**-CASCADE_ITERATIONS``) and the
+    DFT magnitude peak over positive frequencies is returned, read on the
+    raw DFT bin grid whose spacing ``1/(L - 1)`` is set by the filter support.
     """
-    if iterations < 1:
-        raise ValueError("cascade needs at least one refinement")
-    return _center_frequency_cached(filters.h.tobytes(), int(iterations))
+    return _center_frequency_cached(filters.h.tobytes())
 
 
 @functools.lru_cache(maxsize=512)
-def _center_frequency_cached(h_bytes: bytes, iterations: int) -> float:
+def _center_frequency_cached(h_bytes: bytes) -> float:
     h = np.frombuffer(h_bytes, dtype=np.float64)
     seq = SQRT2 * quadrature_mirror(h)
     kernel = SQRT2 * h
-    for _ in range(iterations - 1):
+    for _ in range(CASCADE_ITERATIONS - 1):
         up = np.zeros(2 * seq.size - 1)
         up[::2] = seq
         seq = np.convolve(up, kernel)
     magnitude = np.abs(np.fft.rfft(seq))
     peak = int(np.argmax(magnitude[1:])) + 1  # skip the DC bin
-    duration = seq.size * 2.0 ** -iterations
+    duration = seq.size * 2.0 ** -CASCADE_ITERATIONS
     return peak / duration
 
 

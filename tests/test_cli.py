@@ -179,6 +179,46 @@ class TestLocatedErrors:
         )
 
 
+class TestSettingErrors:
+    """A bad setting is reported on its own, before any trace is scanned."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["compress", "--wavelet", "daubechies-4"], "Error: unknown wavelet 'daubechies-4'"),
+            (["stats", "--wavelet", "pollen:9,0", "--depth", "2"],
+             "Error: plane point (9.0, 0.0) outside"),
+            (["match", "--depth", "0", "--grid", "8"],
+             "Error: levels must be a positive integer"),
+            (["match", "--cr", "0.5", "--grid", "8"],
+             "Error: compression ratio must be at least 1"),
+            (["stats", "--alpha", "1.5"], "Error: significance level must be in (0, 1), got 1.5"),
+            (["stats", "--alpha", "-1"], "Error: significance level must be in (0, 1), got -1.0"),
+        ],
+    )
+    def test_setting_message_without_a_trace(self, dataset, args, message):
+        result = run(args[0], "--data", dataset, *args[1:])
+        assert result.exit_code == 1
+        assert message in result.output
+        assert "subject " not in result.output
+
+    def test_surface_names_a_too_short_trace(self, tmp_path):
+        result = run(
+            "simulate", "--out", tmp_path, "--subjects", "1", "--duration", "5", "--seed", "5"
+        )
+        assert result.exit_code == 0, result.output
+        recording = tmp_path / "recordings" / "dog00_basal.csv"
+        result = run("surface", "--recording", recording, "--channel", "7", "--grid", "8")
+        assert result.exit_code == 1
+        assert "Error: subject dog00, state basal, channel 7: depth 6 too deep" in result.output
+
+    def test_surface_unknown_channel_is_a_selection_error(self, dataset):
+        recording = dataset.parent / "recordings" / "dog00_basal.csv"
+        result = run("surface", "--recording", recording, "--channel", "99", "--grid", "8")
+        assert result.exit_code == 1
+        assert "Error: recording has no channel 99" in result.output
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self):
         result = run("simulate", "--bogus", "1")

@@ -149,6 +149,27 @@ class TestCompressionConfig:
     def test_fractional_cr_accepted(self):
         assert CompressionConfig(cr=2.5).cr == 2.5
 
+    @pytest.mark.parametrize(
+        "wavelet, message",
+        [("db5", "unknown wavelet 'db5'"), ((4.0, 0.0), r"plane point \(4.0, 0.0\) outside")],
+    )
+    def test_bad_wavelet_rejected_when_built(self, wavelet, message):
+        with pytest.raises(ValueError, match=message):
+            CompressionConfig(wavelet=wavelet)
+
+    def test_wavelet_resolved_once_when_built(self):
+        config = CompressionConfig(wavelet=(1.0, -0.5))
+        assert np.array_equal(config.filters.h, resolve_wavelet((1.0, -0.5)).h)
+        assert replace(config, wavelet="haar").filters.length == 2
+
+    def test_equal_settings_compare_and_hash_equal(self):
+        a = CompressionConfig(wavelet=(1.0, -0.5), cr=3.0, levels=6)
+        b = CompressionConfig(wavelet=(1.0, -0.5), cr=3.0, levels=6)
+        assert a.filters is not b.filters
+        assert a == b and hash(a) == hash(b)
+        assert a != replace(a, cr=4.0)
+        assert "filters" not in repr(a)
+
 
 class TestCompress:
     def test_cr_one_is_lossless(self):

@@ -480,3 +480,138 @@ class TestReadDiagnostics:
         )
         with pytest.raises(ValueError, match=message):
             load_cohort(manifest_path)
+
+    def edited(self, tmp_path, old, new):
+        path = write_recording(make_recording(n=4, channels=(7, 8)), tmp_path / "r.csv")
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        return path
+
+    def test_duplicate_channel_ids_name_the_file(self, tmp_path):
+        path = self.edited(tmp_path, "7,8\ntime_s,ch7,ch8", "7,7\ntime_s,ch7,ch7")
+        with pytest.raises(ValueError, match=r"r\.csv: channel ids must be unique$"):
+            read_recording(path)
+
+    @pytest.mark.parametrize("rate", ["0", "-10"])
+    def test_non_positive_rate_names_the_file(self, tmp_path, rate):
+        path = self.edited(tmp_path, "sample_rate_hz: 10", f"sample_rate_hz: {rate}")
+        with pytest.raises(ValueError, match=r"r\.csv: sample rate must be positive and finite"):
+            read_recording(path)
+
+    def test_empty_subject_names_the_file(self, tmp_path):
+        path = self.edited(tmp_path, "# subject: dog00", "# subject:")
+        with pytest.raises(ValueError, match=r"r\.csv: subject and state must be non-empty$"):
+            read_recording(path)
+
+    def test_nul_byte_in_a_manifest_path_names_the_line(self, tmp_path):
+        manifest_path = write_cohort(make_cohort(), tmp_path)
+        text = manifest_path.read_text()
+        manifest_path.write_text(text.replace("dog00_mild", "dog00\x00mild"))
+        with pytest.raises(ValueError, match=r"manifest\.txt: line 4: bad recording path"):
+            read_manifest(manifest_path)
+
+
+
+def _splice(data, draw, width, replacement):
+    # Replace ``width`` bytes at a drawn position (an insert when width is 0).
+    at = draw(st.integers(0, len(data) - width), label="at")
+    return data[:at] + replacement(data[at : at + width]) + data[at + width :]
+
+
+def _flip(data, draw, kind):
+    return _splice(data, draw, 1, lambda b: bytes([b[0] ^ draw(st.integers(1, 127))]))
+
+
+def _insert(data, draw, kind):
+    return _splice(data, draw, 0, lambda b: bytes([draw(st.integers(0, 127))]))
+
+
+def _delete(data, draw, kind):
+    return _splice(data, draw, 1, lambda b: b"")
+
+
+def _truncate_row(data, draw, kind):
+    lines = data.split(b"\n")
+    row = draw(st.integers(6 if kind == "recording" else 2, len(lines) - 2), label="row")
+    lines[row] = lines[row][: draw(st.integers(0, len(lines[row]) - 1), label="keep")]
+    return b"\n".join(lines)
+
+
+def _swap_header_lines(data, draw, kind):
+    lines = data.split(b"\n")
+    header = range(6) if kind == "recording" else range(2)
+    i, j = draw(st.lists(st.sampled_from(header), min_size=2, max_size=2, unique=True))
+    lines[i], lines[j] = lines[j], lines[i]
+    return b"\n".join(lines)
+
+
+def _duplicate_channel(data, draw, kind):
+    # A recording repeats channel 7 (in the column header too, if drawn);
+    # a manifest, which has no channels, repeats an entry instead.
+    if kind == "manifest":
+        lines = data.split(b"\n")
+        return b"\n".join(lines[:3] + lines[2:])
+    data = data.replace(b"# channels: 7,8", b"# channels: 7,7")
+    if draw(st.booleans(), label="column header"):
+        data = data.replace(b"time_s,ch7,ch8", b"time_s,ch7,ch7")
+    return data
+
+
+FILE_MUTATIONS = {
+    f.__name__[1:]: f
+    for f in (_flip, _insert, _delete, _truncate_row, _swap_header_lines, _duplicate_channel)
+}
+
+
+def _same_recording(a, b):
+    return (
+        (a.subject, a.state, a.sample_rate_hz, a.channel_ids)
+        == (b.subject, b.state, b.sample_rate_hz, b.channel_ids)
+        and a.samples.tobytes() == b.samples.tobytes()
+    )
+
+
+def _read_or_path_error(read, path, prefixes):
+    # The reader returns, or raises a ValueError that starts with one of
+    # ``prefixes``; any other exception fails the test.
+    try:
+        return read(path)
+    except ValueError as error:
+        assert str(error).startswith(prefixes), str(error)
+        return None
+
+
+class TestReaderFuzz:
+    """Every single-file mutation of a small written cohort is read, or is
+    rejected by a ``ValueError`` whose message starts with a file's path.
+
+    A flipped digit is still a number, so only the mutations that leave the
+    meaning unchanged (reordered header lines) must read back the same data.
+    """
+
+    @pytest.mark.parametrize("name", FILE_MUTATIONS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_is_read_or_rejected_with_its_path(self, tmp_path_factory, name, data):
+        pairs = [("dog00", "basal"), ("dog00", "mild"), ("dog01", "basal"), ("dog01", "mild")]
+        cohort = Cohort({
+            (subject, state): make_recording(subject, state, n=4, channels=(7, 8), seed=k)
+            for k, (subject, state) in enumerate(pairs)
+        }, seed=1)
+        manifest = write_cohort(cohort, tmp_path_factory.mktemp("fuzz"))
+        files = [manifest] + sorted(manifest.parent.glob("recordings/*.csv"))
+        target = data.draw(st.sampled_from(files), label="file")
+        kind = "manifest" if target == manifest else "recording"
+        read = read_manifest if kind == "manifest" else read_recording
+        before = read(target)
+        target.write_bytes(FILE_MUTATIONS[name](target.read_bytes(), data.draw, kind))
+
+        after = _read_or_path_error(read, target, (str(target),))
+        if after is not None and name == "swap_header_lines":
+            if kind == "manifest":
+                assert after == before
+            else:
+                assert _same_recording(after, before)
+        prefixes = tuple({str(f) for f in files} | {str(f.resolve()) for f in files})
+        _read_or_path_error(load_cohort, manifest, prefixes)

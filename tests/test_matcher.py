@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eggwave.compression import CompressionConfig, compress
 from eggwave.matcher import (
@@ -179,6 +182,47 @@ class TestSurfaceMinima:
         assert values == sorted(values)
 
 
+def loop_minima(surface):
+    """Reference for surface_minima: every node against its clipped 3x3 window."""
+    prd = surface.prd
+    rows, cols = prd.shape
+    global_a, global_b, global_value = surface.argmin
+    locals_ = []
+    for i in range(rows):
+        for j in range(cols):
+            value = prd[i, j]
+            window = prd[max(0, i - 1) : min(rows, i + 2), max(0, j - 1) : min(cols, j + 2)]
+            # The window holds the node itself, so strict dominance of all
+            # neighbours means exactly one entry is <= value.
+            if np.count_nonzero(window <= value) == 1:
+                a, b = float(surface.a_values[i]), float(surface.b_values[j])
+                if (a, b) != (global_a, global_b):
+                    locals_.append((a, b, float(value)))
+    locals_.sort(key=lambda t: (t[2], t[0], t[1]))
+    return [(global_a, global_b, global_value)] + locals_
+
+
+shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+
+class TestSurfaceMinimaReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_integer_ties(self, data):
+        shape = data.draw(shapes)
+        matrix = data.draw(arrays(np.float64, shape, elements=st.integers(0, 3).map(float)))
+        surface = fake_surface(matrix)
+        assert surface_minima(surface) == loop_minima(surface)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_continuous_values(self, data):
+        shape = data.draw(shapes)
+        elements = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
+        surface = fake_surface(data.draw(arrays(np.float64, shape, elements=elements)))
+        assert surface_minima(surface) == loop_minima(surface)
+
+
 class TestAggregateBest:
     def test_singleton(self):
         assert aggregate_best([(1.0, 2.0)]) == (1.0, 2.0)
@@ -244,6 +288,16 @@ class TestMatchCohort:
         message = r"^subject dog00, state basal, channel 9: depth 6 too deep for a 50-sample"
         with pytest.raises(ValueError, match=message):
             match_cohort(cohort, "basal", GridSpec(resolution=8), levels=6, channels=[9, 7])
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [({"cr": 0.5}, r"^compression ratio must be at least 1"),
+         ({"levels": 0}, r"^levels must be a positive integer")],
+    )
+    def test_bad_setting_is_rejected_before_any_trace(self, setting, message):
+        cohort = simulate_cohort(CohortSpec(subjects=3, duration_s=5.0, seed=3))
+        with pytest.raises(ValueError, match=message):
+            match_cohort(cohort, **setting)
 
     def test_minima_csv_shape(self, match_result):
         _, result = match_result

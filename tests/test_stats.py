@@ -283,6 +283,25 @@ class TestComparePaired:
         assert row.significant == (row.p_value < 0.05)
 
 
+class TestSignificanceLevel:
+    DIFFS = np.array([0.3, -0.1, 0.8, 0.2, 0.5, -0.4, 0.9, 0.1])
+
+    @pytest.mark.parametrize("test", [lilliefors, paired_t, wilcoxon_signed_rank])
+    @pytest.mark.parametrize("alpha", [1.5, -1.0, 0.0, 1.0, float("nan")])
+    def test_every_outcome_rejects_a_level_outside_unit_interval(self, test, alpha):
+        with pytest.raises(ValueError, match=r"^significance level must be in \(0, 1\)"):
+            test(self.DIFFS, alpha)
+
+    def test_compare_paired_rejects_it(self):
+        base = np.linspace(1.0, 2.0, 8)
+        with pytest.raises(ValueError, match=r"in \(0, 1\), got 1\.5$"):
+            compare_paired(base, base + self.DIFFS, channel=7, alpha=1.5)
+
+    def test_levels_inside_accepted(self):
+        for alpha in (1e-9, 0.05, 0.999):
+            assert paired_t(self.DIFFS, alpha).significant_at == alpha
+
+
 class TestDetectionRate:
     def make_rows(self, flags):
         return [
