@@ -25,6 +25,7 @@ from .matcher import (
 )
 from .simulate import CohortSpec, simulate_cohort
 from .stats import (
+    _check_level,
     compare_states,
     comparisons_to_csv,
     comparisons_to_text,
@@ -164,7 +165,8 @@ def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
 @click.option("--out", type=click.Path(), default=None, help="Write per-recording minima CSV.")
 def match(data, state, grid, cr, depth, channels, refine, out):
     """Best-matching plane point per recording and the cohort aggregate."""
-    cohort = load_cohort(data)
+    spec = GridSpec(resolution=grid)
+    CompressionConfig(cr=cr, levels=depth)  # rejects a bad ratio or depth before any read
     if channels == "all":
         selected = None
     else:
@@ -172,10 +174,11 @@ def match(data, state, grid, cr, depth, channels, refine, out):
             selected = [int(t) for t in channels.split(",")]
         except ValueError:
             raise ValueError(f"channels must be comma-separated ids, got {channels!r}")
+    cohort = load_cohort(data)
     result = match_cohort(
         cohort,
         state,
-        GridSpec(resolution=grid),
+        spec,
         cr=cr,
         levels=depth,
         channels=selected,
@@ -206,15 +209,13 @@ def stats_command(data, pair, wavelet, cr, depth, alpha, out_csv, out_text):
     state_a, sep, state_b = pair.partition(":")
     if not sep or not state_a or not state_b:
         raise ValueError(f"pair must look like basal:severe, got {pair!r}")
+    # Reject a bad setting before any recording is read.
+    wavelet, levels = parse_wavelet(wavelet), parse_depth(depth)
+    CompressionConfig(wavelet=wavelet, cr=cr, levels=levels)
+    _check_level(alpha)
     cohort = load_cohort(data)
     rows = compare_states(
-        cohort,
-        state_a,
-        state_b,
-        wavelet=parse_wavelet(wavelet),
-        cr=cr,
-        levels=parse_depth(depth),
-        alpha=alpha,
+        cohort, state_a, state_b, wavelet=wavelet, cr=cr, levels=levels, alpha=alpha
     )
     text = comparisons_to_text(rows, alpha=alpha)
     if out_csv:
@@ -240,14 +241,13 @@ def sweep(data, crs, wavelet, depth, alpha, out):
         ratios = [float(t) for t in crs.split(",")]
     except ValueError:
         raise ValueError(f"crs must be comma-separated numbers, got {crs!r}")
+    # Reject a bad setting before any recording is read.
+    wavelet, levels = parse_wavelet(wavelet), parse_depth(depth)
+    for cr in ratios:
+        CompressionConfig(wavelet=wavelet, cr=cr, levels=levels)
+    _check_level(alpha)
     cohort = load_cohort(data)
-    points = cr_sweep(
-        cohort,
-        ratios,
-        wavelet=parse_wavelet(wavelet),
-        levels=parse_depth(depth),
-        alpha=alpha,
-    )
+    points = cr_sweep(cohort, ratios, wavelet=wavelet, levels=levels, alpha=alpha)
     table = sweep_to_csv(points)
     if out:
         Path(out).write_text(table, encoding="ascii", newline="\n")

@@ -203,6 +203,8 @@ def match_cohort(
     enters the cohort aggregate.
     """
     CompressionConfig(cr=cr, levels=levels)  # rejects a bad ratio or depth before any trace
+    if isinstance(levels, str):
+        raise ValueError(f"a plane scan needs an integer depth, got {levels!r}")
     traces = cohort.apply(
         lambda signal: _scan_trace(signal, grid, cr, levels, refine).argmin, [state], channels
     )

@@ -13,9 +13,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import ndtr, stdtr
 
 from .compression import CompressionConfig, _compress_ratios
 from .io import Cohort
@@ -51,6 +51,11 @@ DEFAULT_ALPHA = 0.05
 _STATISTICS_LABEL = {"paired-t": "Student", "wilcoxon": "Wilcoxon"}
 
 
+def _check_level(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"significance level must be in (0, 1), got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class TestOutcome:
     """Result of a single hypothesis test."""
@@ -61,10 +66,7 @@ class TestOutcome:
     significant_at: float
 
     def __post_init__(self):
-        if not 0.0 < self.significant_at < 1.0:
-            raise ValueError(
-                f"significance level must be in (0, 1), got {self.significant_at!r}"
-            )
+        _check_level(self.significant_at)
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
@@ -108,16 +110,107 @@ def _as_diffs(samples, minimum, context) -> np.ndarray:
     return diffs
 
 
+# Cody's rational Chebyshev approximations to the normal CDF (ANORM; W. J.
+# Cody, Math. Comp. 23, 1969), one per range of |x|: 0.5 + x R(x**2) up to
+# _NDTR_CENTRE, exp(-x**2/2) R(|x|) up to _NDTR_MIDDLE and the asymptotic
+# exp(-x**2/2) (1/sqrt(2 pi) - R(1/x**2) / x**2) / |x| beyond.  Checked
+# against mpmath at 50 digits: ~7e-16 relative on [-37, 5].
+_NDTR_CENTRE = 0.66291
+_NDTR_MIDDLE = math.sqrt(32.0)
+_NDTR_CENTRE_NUM = (
+    2.2352520354606839287, 161.02823106855587881, 1067.6894854603709582,
+    18154.981253343561249, 0.065682337918207449113,
+)
+_NDTR_CENTRE_DEN = (
+    47.202581904688236274, 976.09855173777669322, 10260.932208618978205,
+    45507.789335026729956,
+)
+_NDTR_MIDDLE_NUM = (
+    0.39894151208813466764, 8.8831497943883759412, 93.506656132177855979,
+    597.27027639480026226, 2494.5375852903726711, 6848.1904505362823326,
+    11602.651437647350124, 9842.7148383839780218, 1.0765576773720192317e-8,
+)
+_NDTR_MIDDLE_DEN = (
+    22.266688044328115691, 235.38790178262499861, 1519.377599407554805,
+    6485.558298266760755, 18615.571640885098091, 34900.952721145977266,
+    38912.003286093271411, 19685.429676859990727,
+)
+_NDTR_FAR_NUM = (
+    0.21589853405795699, 0.1274011611602473639, 0.022235277870649807,
+    0.001421619193227893466, 2.9112874951168792e-5, 0.02307344176494017303,
+)
+_NDTR_FAR_DEN = (
+    1.28426009614491121, 0.468238212480865118, 0.0659881378689285515,
+    0.00378239633202758244, 7.29751555083966205e-5,
+)
+_INV_SQRT_2PI = 0.39894228040143267794
+#: The lower tail underflows to zero before this |x|; clipping there keeps
+#: the middle-range rational, evaluated on every tail value, finite.
+_NDTR_CLIP = 40.0
+
+
+def _cody_ratio(arg: np.ndarray, num, den) -> np.ndarray:
+    # Cody's nested form, in place.  For k = len(den) the numerator is
+    # num[-1] t**k + num[0] t**(k-1) + ... + num[k-1] and the denominator
+    # t**k + den[0] t**(k-1) + ... + den[k-1].
+    top = num[-1] * arg
+    bottom = arg.copy()
+    for a, b in zip(num[:-2], den[:-1]):
+        top += a
+        top *= arg
+        bottom += b
+        bottom *= arg
+    top += num[-2]
+    bottom += den[-1]
+    top /= bottom
+    return top
+
+
+def _exp_half_square(y: np.ndarray) -> np.ndarray:
+    # exp(-y**2 / 2) split at s = trunc(16 y) / 16: s * s is exact and
+    # (y - s)(y + s) small, so rounding y**2 costs nothing in the far tail.
+    s = np.trunc(16.0 * y) / 16.0
+    rest = (y - s) * (y + s)
+    return np.exp(-0.5 * s * s) * np.exp(-0.5 * rest)
+
+
+def _ndtr(x) -> np.ndarray:
+    """Standard normal CDF, elementwise, to about 1e-15 relative error."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.minimum(np.abs(x), _NDTR_CLIP)
+    out = np.empty_like(x)
+    centre = y <= _NDTR_CENTRE
+    xc = x[centre]
+    out[centre] = 0.5 + xc * _cody_ratio(xc * xc, _NDTR_CENTRE_NUM, _NDTR_CENTRE_DEN)
+    tail = ~centre
+    yt = y[tail]
+    q = _cody_ratio(yt, _NDTR_MIDDLE_NUM, _NDTR_MIDDLE_DEN)
+    far = yt > _NDTR_MIDDLE
+    if far.any():
+        yf = yt[far]
+        inv = 1.0 / (yf * yf)
+        q[far] = (_INV_SQRT_2PI - inv * _cody_ratio(inv, _NDTR_FAR_NUM, _NDTR_FAR_DEN)) / yf
+    q *= _exp_half_square(yt)  # q is now the upper tail P(Z > |x|)
+    out[tail] = np.where(x[tail] > 0.0, 1.0 - q, q)
+    return out
+
+
 def _ks_distance(z_rows: np.ndarray) -> np.ndarray:
     # Sup distance between the empirical CDF of standardized rows and the
     # standard normal CDF.
     n = z_rows.shape[1]
     z = np.sort(z_rows, axis=1)
-    cdf = ndtr(z)
+    cdf = _ndtr(z)
     i = np.arange(1, n + 1)
     d_plus = (i / n - cdf).max(axis=1)
     d_minus = (cdf - (i - 1) / n).max(axis=1)
     return np.maximum(d_plus, d_minus)
+
+
+#: The null table's draws go through _ks_distance in blocks of about this
+#: many values, which keeps the CDF's temporaries small and in cache: twice
+#: as fast as one pass over all 50,000 rows, and the same distances.
+_KS_BLOCK_VALUES = 1 << 16
 
 
 @functools.lru_cache(maxsize=64)
@@ -125,7 +218,8 @@ def _lilliefors_null_table(n: int) -> np.ndarray:
     rng = np.random.default_rng((LILLIEFORS_MC_SEED, n))
     draws = rng.standard_normal((LILLIEFORS_MC_DRAWS, n))
     z = (draws - draws.mean(axis=1, keepdims=True)) / draws.std(axis=1, ddof=1, keepdims=True)
-    table = np.sort(_ks_distance(z))
+    rows = max(1, _KS_BLOCK_VALUES // n)
+    table = np.sort(np.concatenate([_ks_distance(z[i : i + rows]) for i in range(0, len(z), rows)]))
     table.flags.writeable = False
     return table
 
@@ -155,6 +249,92 @@ def lilliefors(samples, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
     return TestOutcome("lilliefors", statistic, float(p_value), alpha)
 
 
+#: Tolerance and term cap of the incomplete-beta continued fraction.
+_BETA_CF_EPS = 2.0 ** -52
+_BETA_CF_MAX_TERMS = 100_000
+_TINY = 1e-300
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _stirling_tail(z: float) -> float:
+    # ln Gamma(z) minus its Stirling leading terms; three terms reach 1e-19
+    # for z >= 170.
+    return 1.0 / (12.0 * z) - 1.0 / (360.0 * z ** 3) + 1.0 / (1260.0 * z ** 5)
+
+
+def _beta_half(a: float) -> float:
+    """The beta function ``B(a, 1/2)``, to a few ulp."""
+    if a < 170.0:
+        return math.gamma(a) * _SQRT_PI / math.gamma(a + 0.5)
+    # Past gamma's range: ln Gamma(a + 1/2) - ln Gamma(a) from Stirling's
+    # series, arranged so that no large terms cancel (a difference of
+    # lgammas would lose up to one ulp of lgamma(a)).
+    log_ratio = (
+        0.5 * math.log(a)
+        + (a * math.log1p(0.5 / a) - 0.5)
+        + (_stirling_tail(a + 0.5) - _stirling_tail(a))
+    )
+    return _SQRT_PI * math.exp(-log_ratio)
+
+
+def _beta_cf(x: float, a: float, b: float) -> float:
+    # The continued fraction 1 / (1 + d1 / (1 + d2 / ...)) of
+    # I_x(a, b) a B(a, b) / (x**a (1-x)**b) (DLMF 8.17.22).  Lentz's method
+    # finds the depth at which it has converged; the value is then summed
+    # backward from that depth, which rounds about half as much as Lentz's
+    # forward product where x nears the branch switch.
+    terms = []
+    c, d = 1.0, 0.0
+    for k in range(1, _BETA_CF_MAX_TERMS + 1):
+        m = k // 2
+        if k % 2:
+            term = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            term = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        terms.append(term)
+        d = 1.0 / ((1.0 + term * d) or _TINY)
+        c = (1.0 + term / c) or _TINY
+        if abs(c * d - 1.0) <= _BETA_CF_EPS:
+            break
+    else:
+        raise ArithmeticError(f"incomplete beta fraction did not converge at x={x}, a={a}, b={b}")
+    f = 1.0
+    for term in reversed(terms):
+        f = 1.0 + term / f
+    return 1.0 / f
+
+
+def _incomplete_beta(x: Fraction, a: float, b: float, beta: float) -> float:
+    # I_x(a, b), with beta = B(a, b), for an exact x in [0, 1) below the
+    # switch point (a + 1) / (a + b + 2), where the fraction converges.  It
+    # is evaluated at the nearest double and moved to x along
+    # dI/dx = front / (x (1-x)): I's relative slope reaches ~a, which would
+    # amplify the rounding of x.
+    near = float(x)
+    front = math.pow(near, a) * math.exp(b * math.log1p(-near)) / beta
+    if front == 0.0:
+        return 0.0
+    shift = float(x - Fraction(near)) / (near * (1.0 - near))
+    return front * (_beta_cf(near, a, b) / a + shift)
+
+
+def _t_two_sided_p(t: float, df: int) -> float:
+    """Two-sided Student t tail ``P(|T| >= |t|)`` with ``df`` degrees of freedom.
+
+    It is ``I_x(df/2, 1/2)`` at ``x = df / (df + t**2)``, with ``x`` and
+    ``1 - x = t**2 / (df + t**2)`` formed exactly; past the switch point
+    the symmetric branch ``1 - I_(1-x)(1/2, df/2)`` is used.  Within 2e-14
+    relative of mpmath for df up to 200; the fraction's rounding grows
+    with df, to about 1e-11 at df = 10**6.
+    """
+    a = 0.5 * df
+    beta = _beta_half(a)
+    x = df / (df + Fraction(t) ** 2)
+    if x < (a + 1.0) / (a + 2.5):
+        return _incomplete_beta(x, a, 0.5, beta)
+    return 1.0 - _incomplete_beta(1 - x, 0.5, a, beta)
+
+
 def paired_t(diffs, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
     """Two-sided paired-difference t test on per-subject differences.
 
@@ -166,8 +346,7 @@ def paired_t(diffs, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
         raise ValueError("paired t test is undefined for zero-variance differences")
     n = d.size
     t = float(d.mean() / (sd / math.sqrt(n)))
-    p_value = float(2.0 * stdtr(n - 1, -abs(t)))
-    return TestOutcome("paired-t", t, min(p_value, 1.0), alpha)
+    return TestOutcome("paired-t", t, min(_t_two_sided_p(t, n - 1), 1.0), alpha)
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
@@ -226,7 +405,7 @@ def wilcoxon_signed_rank(diffs, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
         tie_term = float(((tie_counts ** 3 - tie_counts) / 48.0).sum())
         sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
         z = (abs(w_plus - mu) - 0.5) / sigma
-        p_value = min(1.0, float(2.0 * ndtr(-z)))
+        p_value = min(1.0, math.erfc(z / math.sqrt(2.0)))
     return TestOutcome("wilcoxon", w_plus, p_value, alpha)
 
 
@@ -314,6 +493,7 @@ def compare_states(
     alpha: float = DEFAULT_ALPHA,
 ) -> list:
     """Per-channel comparison table between two states of a cohort."""
+    _check_level(alpha)
     config = CompressionConfig(wavelet=wavelet, cr=cr, levels=levels)
     table = _prd_table(cohort, [state_a, state_b], config, [cr])
     return _compare_channels(table[(cr, state_a)], table[(cr, state_b)], alpha)
@@ -340,6 +520,7 @@ def cr_sweep(
         raise ValueError("sweep needs at least one compression ratio")
     # Building each config rejects a bad ratio before any signal is read.
     configs = [CompressionConfig(wavelet=wavelet, cr=cr, levels=levels) for cr in crs]
+    _check_level(alpha)
     table = _prd_table(cohort, [state for pair in pairs for state in pair], configs[0], crs)
     points = []
     for cr in crs:

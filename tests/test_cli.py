@@ -202,6 +202,42 @@ class TestSettingErrors:
         assert message in result.output
         assert "subject " not in result.output
 
+    @pytest.fixture
+    def unreadable(self, tmp_path):
+        # A manifest whose one recording is missing: any read fails.
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("subject,state,path\ndog00,basal,recordings/missing.csv\n")
+        return manifest
+
+    @pytest.mark.parametrize("args", [["stats"], ["sweep"], ["match", "--grid", "8"]])
+    def test_unreadable_manifest_fails_on_read(self, unreadable, args):
+        result = run(args[0], "--data", unreadable, *args[1:])
+        assert result.exit_code == 1
+        assert "missing.csv" in result.output
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["stats", "--cr", "0.5"], "Error: compression ratio must be at least 1"),
+            (["stats", "--depth", "0"], "Error: levels must be a positive integer"),
+            (["stats", "--wavelet", "daubechies-4"], "Error: unknown wavelet 'daubechies-4'"),
+            (["stats", "--alpha", "1.5"], "Error: significance level must be in (0, 1), got 1.5"),
+            (["sweep", "--crs", "2,0.5"], "Error: compression ratio must be at least 1"),
+            (["sweep", "--wavelet", "pollen:9,0"], "Error: plane point (9.0, 0.0) outside"),
+            (["sweep", "--alpha", "2"], "Error: significance level must be in (0, 1), got 2.0"),
+            (["match", "--cr", "0.5", "--grid", "8"], "Error: compression ratio must be at least 1"),
+            (["match", "--depth", "0", "--grid", "8"], "Error: levels must be a positive integer"),
+            (["match", "--grid", "4"], "Error: grid resolution must be an integer of at least 8"),
+            (["match", "--channels", "7,x", "--grid", "8"],
+             "Error: channels must be comma-separated ids"),
+        ],
+    )
+    def test_setting_is_checked_before_any_read(self, unreadable, args, message):
+        result = run(args[0], "--data", unreadable, *args[1:])
+        assert result.exit_code == 1
+        assert message in result.output
+        assert "missing.csv" not in result.output
+
     def test_surface_names_a_too_short_trace(self, tmp_path):
         result = run(
             "simulate", "--out", tmp_path, "--subjects", "1", "--duration", "5", "--seed", "5"

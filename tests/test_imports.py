@@ -26,3 +26,11 @@ def test_import_leaves_scipy_stats_out(statement):
     loaded = modules_after(statement)
     assert "eggwave" in loaded
     assert "scipy.stats" not in loaded
+
+
+@pytest.mark.parametrize("statement", ["import eggwave", "import eggwave.cli"])
+def test_import_loads_no_scipy(statement):
+    # The runtime computes its normal and Student t tails itself.
+    loaded = modules_after(statement)
+    assert "eggwave" in loaded
+    assert sorted(name for name in loaded if name.startswith("scipy")) == []

@@ -292,7 +292,8 @@ class TestMatchCohort:
     @pytest.mark.parametrize(
         "setting, message",
         [({"cr": 0.5}, r"^compression ratio must be at least 1"),
-         ({"levels": 0}, r"^levels must be a positive integer")],
+         ({"levels": 0}, r"^levels must be a positive integer"),
+         ({"levels": "auto"}, r"^a plane scan needs an integer depth, got 'auto'$")],
     )
     def test_bad_setting_is_rejected_before_any_trace(self, setting, message):
         cohort = simulate_cohort(CohortSpec(subjects=3, duration_s=5.0, seed=3))

@@ -1,17 +1,25 @@
+import functools
 import itertools
+import math
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.stats import rankdata
 
 from eggwave import stats
 from eggwave.compression import CompressionConfig, compress
+from eggwave.io import Cohort, RecordingFile
 from eggwave.simulate import CohortSpec, simulate_cohort
 from eggwave.stats import (
     _exact_signed_rank_p,
     _midranks,
+    _ndtr,
+    _t_two_sided_p,
     ChannelComparison,
     comparisons_to_csv,
     comparisons_to_text,
@@ -123,6 +131,137 @@ class TestPairedT:
     def test_zero_sd_rejected(self):
         with pytest.raises(ValueError, match="zero-variance|undefined"):
             paired_t([1.0, 1.0, 1.0, 1.0])
+
+
+def ndtr_relative_errors(x):
+    """Relative error of ``_ndtr`` against mpmath at 50 digits, at the exact doubles."""
+    with mpmath.workdps(50):
+        want = [mpmath.ncdf(mpmath.mpf(float(v))) for v in x]
+        got = _ndtr(x)
+        return np.array([float(abs((g - w) / w)) for g, w in zip(got, want)])
+
+
+def t_two_sided_p_exact(t, df):
+    """``I_x(df/2, 1/2)`` at ``x = df / (df + t**2)``, by mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        nu, tt = mpmath.mpf(df), mpmath.mpf(float(t)) ** 2
+        return mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, nu / (nu + tt), regularized=True)
+
+
+def around(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+_uncached_null_table = stats._lilliefors_null_table.__wrapped__
+
+
+@functools.lru_cache(maxsize=None)
+def _scipy_null_table(n):
+    # Called only under the patch below, so its draws go through scipy's ndtr.
+    return _uncached_null_table(n)
+
+
+def lilliefors_p_with_scipy_ndtr(x):
+    """``lilliefors(x).p_value`` with ``scipy.special.ndtr`` in ``_ks_distance``."""
+    with mock.patch.object(stats, "_ndtr", special.ndtr), mock.patch.object(
+        stats, "_lilliefors_null_table", _scipy_null_table
+    ):
+        return lilliefors(x).p_value
+
+
+def lilliefors_samples(n):
+    """Arbitrary finite samples of size ``n``, and seeded draws from four shapes."""
+    arbitrary = st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False), min_size=n, max_size=n
+    ).map(np.array)
+    shapes = {
+        "normal": lambda rng: rng.standard_normal(n),
+        "uniform": lambda rng: rng.uniform(-1.0, 1.0, n),
+        "exponential": lambda rng: rng.exponential(1.0, n),
+        "student-3": lambda rng: rng.standard_t(3, n),
+    }
+    seeded = st.builds(
+        lambda shape, seed: shapes[shape](np.random.default_rng(seed)),
+        st.sampled_from(sorted(shapes)),
+        st.integers(0, 2**32 - 1),
+    )
+    return st.one_of(arbitrary, seeded)
+
+
+class TestTails:
+    """The normal and Student t tails against mpmath, bounded near SciPy's own errors.
+
+    On these grids scipy 1.17's ``ndtr`` reaches 4.0e-15 on ``|x| <= 5``
+    and 2.2e-13 on ``[-37, -5]``, and its ``2 * stdtr`` 2.3e-14.
+    """
+
+    def test_ndtr_centre(self):
+        x = np.concatenate(
+            [np.linspace(-5.0, 5.0, 6001), around(stats._NDTR_CENTRE), around(-stats._NDTR_CENTRE)]
+        )
+        assert ndtr_relative_errors(x).max() <= 4e-15
+
+    def test_ndtr_lower_tail(self):
+        x = np.concatenate([np.linspace(-37.0, -5.0, 3201), around(-stats._NDTR_MIDDLE)])
+        assert ndtr_relative_errors(x).max() <= 2.5e-13
+
+    def test_ndtr_ends_and_nan(self):
+        got = _ndtr([-np.inf, -40.0, -1e300, 0.0, 1e300, np.inf, np.nan])
+        assert np.array_equal(got[:6], [0.0, 0.0, 0.0, 0.5, 1.0, 1.0])
+        assert np.isnan(got[6])
+
+    def test_ndtr_keeps_shape(self):
+        x = np.linspace(-6.0, 6.0, 24).reshape(4, 6)
+        assert np.array_equal(_ndtr(x), _ndtr(x.ravel()).reshape(4, 6))
+
+    @pytest.mark.parametrize("df", range(1, 201))
+    def test_two_sided_t(self, df):
+        # The continued fraction is least accurate near its branch switch
+        # x = (a + 1) / (a + 2.5), i.e. t**2 = 1.5 df / (df/2 + 1).
+        switch = math.sqrt(1.5 * df / (0.5 * df + 1.0))
+        t = np.concatenate(
+            [
+                np.linspace(0.0, 40.0, 17),
+                switch * np.linspace(0.9, 1.1, 9),
+                np.random.default_rng(df).uniform(0.0, 40.0, 4),
+            ]
+        )
+        for value in t:
+            want = t_two_sided_p_exact(value, df)
+            if want < 1e-300:
+                continue
+            for signed in (value, -value):
+                got = _t_two_sided_p(float(signed), df)
+                assert float(abs((got - want) / want)) <= 2e-14, (signed, df)
+
+    def test_two_sided_t_edges(self):
+        assert _t_two_sided_p(0.0, 7) == 1.0
+        # Past math.gamma's range the beta function comes from Stirling's series.
+        for df, t in ((400, 2.0), (5000, 1.7), (5000, 4.0)):
+            want = t_two_sided_p_exact(t, df)
+            assert float(abs((_t_two_sided_p(t, df) - want) / want)) <= 1e-13
+
+    def test_wilcoxon_normal_approximation_is_the_erfc_tail(self):
+        rng = np.random.default_rng(36)
+        for n in (21, 30, 60):
+            d = rng.standard_normal(n) + 0.2
+            ranks = rankdata(np.abs(d))
+            w_plus = ranks[d > 0].sum()
+            _, ties = np.unique(ranks, return_counts=True)
+            sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - ((ties**3 - ties) / 48.0).sum())
+            z = (abs(w_plus - n * (n + 1) / 4.0) - 0.5) / sigma
+            want = min(1.0, 2.0 * special.ndtr(-z))
+            assert wilcoxon_signed_rank(d).p_value == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("n", range(4, 31))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_lilliefors_counts_equal_scipy_ndtr(self, n, data):
+        # The Monte Carlo p-value is a count over the null table: the same
+        # count with either CDF, for the sample and for all 50,000 draws.
+        x = data.draw(lilliefors_samples(n))
+        assume(x.std(ddof=1) > 0.0)
+        assert lilliefors(x).p_value == lilliefors_p_with_scipy_ndtr(x)
 
 
 class TestWilcoxon:
@@ -300,6 +439,34 @@ class TestSignificanceLevel:
     def test_levels_inside_accepted(self):
         for alpha in (1e-9, 0.05, 0.999):
             assert paired_t(self.DIFFS, alpha).significant_at == alpha
+
+    @pytest.fixture(scope="class")
+    def flat_cohort(self):
+        # Every signal is flat, so compressing any of them raises.
+        cohort = simulate_cohort(CohortSpec(subjects=3, duration_s=30.0, seed=2))
+        flat = {
+            key: RecordingFile(
+                subject=rec.subject,
+                state=rec.state,
+                sample_rate_hz=rec.sample_rate_hz,
+                channel_ids=rec.channel_ids,
+                samples=np.zeros_like(rec.samples),
+            )
+            for key, rec in cohort.recordings.items()
+        }
+        return Cohort(recordings=flat, seed=cohort.seed)
+
+    def test_flat_cohort_cannot_be_compressed(self, flat_cohort):
+        with pytest.raises(ValueError, match="zero energy"):
+            compare_states(flat_cohort, "basal", "severe")
+
+    @pytest.mark.parametrize("alpha", [2.0, 0.0, float("nan")])
+    def test_table_builders_check_it_before_compressing(self, flat_cohort, alpha):
+        message = r"^significance level must be in \(0, 1\)"
+        with pytest.raises(ValueError, match=message):
+            compare_states(flat_cohort, "basal", "severe", alpha=alpha)
+        with pytest.raises(ValueError, match=message):
+            cr_sweep(flat_cohort, [2.0, 3.0], alpha=alpha)
 
 
 class TestDetectionRate:
