@@ -42,6 +42,10 @@ __all__ = [
 LILLIEFORS_MC_DRAWS = 50_000
 LILLIEFORS_MC_SEED = 20_060_331
 
+#: Fewest values the Lilliefors gate accepts, and so the fewest subjects a
+#: paired comparison can be made on.
+LILLIEFORS_MIN_VALUES = 4
+
 #: Sample size above which the Wilcoxon test switches from exact
 #: enumeration to the tie- and continuity-corrected normal approximation.
 WILCOXON_EXACT_LIMIT = 20
@@ -207,19 +211,27 @@ def _ks_distance(z_rows: np.ndarray) -> np.ndarray:
     return np.maximum(d_plus, d_minus)
 
 
-#: The null table's draws go through _ks_distance in blocks of about this
-#: many values, which keeps the CDF's temporaries small and in cache: twice
-#: as fast as one pass over all 50,000 rows, and the same distances.
+#: The null table is drawn, standardized and scored in blocks of about this
+#: many values, so its memory does not depend on the sample size.  One
+#: generator feeds every block and each row is reduced on its own, so the
+#: table equals a one-shot draw of all 50,000 rows bit for bit.  Smaller
+#: blocks build the table faster but stay under glibc's default 128 KiB
+#: mmap threshold; freeing 512 KiB ones raises it, which keeps a later
+#: cr_sweep's stacked synthesis from faulting in fresh pages (~0.4 s on a
+#: 16-subject sweep).
 _KS_BLOCK_VALUES = 1 << 16
 
 
 @functools.lru_cache(maxsize=64)
 def _lilliefors_null_table(n: int) -> np.ndarray:
     rng = np.random.default_rng((LILLIEFORS_MC_SEED, n))
-    draws = rng.standard_normal((LILLIEFORS_MC_DRAWS, n))
-    z = (draws - draws.mean(axis=1, keepdims=True)) / draws.std(axis=1, ddof=1, keepdims=True)
     rows = max(1, _KS_BLOCK_VALUES // n)
-    table = np.sort(np.concatenate([_ks_distance(z[i : i + rows]) for i in range(0, len(z), rows)]))
+    distances = []
+    for start in range(0, LILLIEFORS_MC_DRAWS, rows):
+        draws = rng.standard_normal((min(rows, LILLIEFORS_MC_DRAWS - start), n))
+        z = (draws - draws.mean(axis=1, keepdims=True)) / draws.std(axis=1, ddof=1, keepdims=True)
+        distances.append(_ks_distance(z))
+    table = np.sort(np.concatenate(distances))
     table.flags.writeable = False
     return table
 
@@ -230,14 +242,16 @@ def lilliefors(samples, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
     The statistic is the Kolmogorov-Smirnov sup distance of the
     standardized sample against the standard normal CDF; its p-value
     comes from a seeded Monte Carlo null table (50,000 draws per sample
-    size, cached).
+    size, cached).  The table is drawn, standardized and scored in
+    fixed-size blocks, so building it takes the same memory at any
+    sample size.
 
     Raises
     ------
     ValueError
         For fewer than 4 values or a zero-variance sample.
     """
-    x = _as_diffs(samples, 4, "lilliefors")
+    x = _as_diffs(samples, LILLIEFORS_MIN_VALUES, "lilliefors")
     sd = x.std(ddof=1)
     if sd == 0.0:
         raise ValueError("lilliefors is undefined for a zero-variance sample")
@@ -414,10 +428,11 @@ def compare_paired(group_a, group_b, channel: int, alpha: float = DEFAULT_ALPHA)
 
     Differences are taken ``group_b - group_a``.  A Lilliefors gate at the
     same ``alpha`` routes them: the paired t test when normality is not
-    rejected, the Wilcoxon signed-rank test otherwise.
+    rejected, the Wilcoxon signed-rank test otherwise.  Each group needs
+    at least the gate's 4 values.
     """
-    a = _as_diffs(group_a, 3, "paired comparison")
-    b = _as_diffs(group_b, 3, "paired comparison")
+    a = _as_diffs(group_a, LILLIEFORS_MIN_VALUES, "paired comparison")
+    b = _as_diffs(group_b, LILLIEFORS_MIN_VALUES, "paired comparison")
     if a.size != b.size:
         raise ValueError(
             f"groups must pair subjects one-to-one: {a.size} vs {b.size} values"
@@ -463,8 +478,25 @@ def _prd_table(cohort: Cohort, states, config: CompressionConfig, crs) -> dict:
     return {key: {ch: np.asarray(v) for ch, v in prds.items()} for key, prds in table.items()}
 
 
-def _compare_channels(prds_a: dict, prds_b: dict, alpha: float) -> list:
-    return [compare_paired(prds_a[ch], prds_b[ch], ch, alpha) for ch in sorted(prds_a)]
+def _check_subjects(cohort: Cohort) -> None:
+    count = len(cohort.subjects)
+    if count < LILLIEFORS_MIN_VALUES:
+        raise ValueError(
+            f"paired comparisons need at least {LILLIEFORS_MIN_VALUES} subjects, "
+            f"the cohort has {count}"
+        )
+
+
+def _compare_channels(table: dict, cr: float, state_a: str, state_b: str, alpha: float) -> list:
+    # One comparison row per channel; a failing channel is named with its pair.
+    prds_a, prds_b = table[(cr, state_a)], table[(cr, state_b)]
+    rows = []
+    for ch in sorted(prds_a):
+        try:
+            rows.append(compare_paired(prds_a[ch], prds_b[ch], ch, alpha))
+        except ValueError as error:
+            raise ValueError(f"channel {ch}, {state_a}:{state_b}: {error}") from error
+    return rows
 
 
 def state_prds(
@@ -492,11 +524,17 @@ def compare_states(
     levels="auto",
     alpha: float = DEFAULT_ALPHA,
 ) -> list:
-    """Per-channel comparison table between two states of a cohort."""
+    """Per-channel comparison table between two states of a cohort.
+
+    A cohort of fewer than 4 subjects is rejected before any signal is
+    compressed.  A channel that cannot be compared raises ``ValueError``
+    naming the channel and the pair (``"channel C, A:B: ..."``).
+    """
     _check_level(alpha)
     config = CompressionConfig(wavelet=wavelet, cr=cr, levels=levels)
+    _check_subjects(cohort)
     table = _prd_table(cohort, [state_a, state_b], config, [cr])
-    return _compare_channels(table[(cr, state_a)], table[(cr, state_b)], alpha)
+    return _compare_channels(table, cr, state_a, state_b, alpha)
 
 
 def cr_sweep(
@@ -513,7 +551,8 @@ def cr_sweep(
     that one transform in one stacked synthesis pass; the PRDs equal
     those of :func:`state_prds` at each ratio bit for bit.  Points come
     ratio by ratio in the order given (duplicates included), then pair
-    by pair.
+    by pair.  Cohort size and channel errors are reported as by
+    :func:`compare_states`.
     """
     crs = [float(c) for c in crs]
     if not crs:
@@ -521,11 +560,12 @@ def cr_sweep(
     # Building each config rejects a bad ratio before any signal is read.
     configs = [CompressionConfig(wavelet=wavelet, cr=cr, levels=levels) for cr in crs]
     _check_level(alpha)
+    _check_subjects(cohort)
     table = _prd_table(cohort, [state for pair in pairs for state in pair], configs[0], crs)
     points = []
     for cr in crs:
         for state_a, state_b in pairs:
-            rows = _compare_channels(table[(cr, state_a)], table[(cr, state_b)], alpha)
+            rows = _compare_channels(table, cr, state_a, state_b, alpha)
             points.append(
                 SweepPoint(
                     cr=cr,

@@ -166,6 +166,19 @@ class TestLocatedErrors:
         assert "Error: subject dog01, state mild, channel 10: " in result.output
         assert "zero energy" in result.output
 
+    @pytest.mark.parametrize("command", ["stats", "sweep"])
+    def test_comparisons_reject_three_subjects(self, tmp_path, command):
+        result = run(
+            "simulate", "--out", tmp_path, "--subjects", "3", "--duration", "30", "--seed", "5"
+        )
+        assert result.exit_code == 0, result.output
+        result = run(command, "--data", tmp_path / "manifest.txt")
+        assert result.exit_code == 1
+        assert (
+            "Error: paired comparisons need at least 4 subjects, the cohort has 3"
+            in result.output
+        )
+
     def test_match_names_a_too_short_trace(self, tmp_path):
         result = run(
             "simulate", "--out", tmp_path, "--subjects", "3", "--duration", "5", "--seed", "5"

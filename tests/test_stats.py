@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -153,6 +154,38 @@ def around(x):
 
 
 _uncached_null_table = stats._lilliefors_null_table.__wrapped__
+
+
+def one_shot_null_table(n):
+    """The null table with all 50,000 rows drawn and standardized at once."""
+    rng = np.random.default_rng((stats.LILLIEFORS_MC_SEED, n))
+    draws = rng.standard_normal((stats.LILLIEFORS_MC_DRAWS, n))
+    z = (draws - draws.mean(axis=1, keepdims=True)) / draws.std(axis=1, ddof=1, keepdims=True)
+    return np.sort(stats._ks_distance(z))
+
+
+class TestNullTable:
+    # Sizes whose row blocks do not divide 50,000, so the last block is short.
+    @pytest.mark.parametrize("n", [4, 5, 7, 16, 17, 30, 64])
+    def test_blocks_equal_one_shot_table(self, n):
+        assert np.array_equal(_uncached_null_table(n), one_shot_null_table(n))
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_peak_memory_is_bounded(self, n):
+        # numpy reports its array buffers to tracemalloc.
+        tracemalloc.start()
+        try:
+            _uncached_null_table(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_cached_table_is_read_only(self):
+        table = stats._lilliefors_null_table(9)
+        assert table is stats._lilliefors_null_table(9)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -392,6 +425,11 @@ class TestComparePaired:
         with pytest.raises(ValueError, match="degenerate: no differences"):
             compare_paired(values, values, channel=7)
 
+    def test_three_subjects_rejected(self):
+        # The Lilliefors gate needs four differences.
+        with pytest.raises(ValueError, match="paired comparison needs at least 4 values, got 3"):
+            compare_paired([1.0, 2.0, 3.0], [1.5, 2.0, 3.5], channel=7)
+
     def test_mismatched_groups_rejected(self):
         with pytest.raises(ValueError, match="one-to-one"):
             compare_paired(np.ones(4), np.ones(5), channel=7)
@@ -422,6 +460,22 @@ class TestComparePaired:
         assert row.significant == (row.p_value < 0.05)
 
 
+def make_flat_cohort(subjects):
+    """A simulated cohort with every signal flat, so compressing any of them raises."""
+    cohort = simulate_cohort(CohortSpec(subjects=subjects, duration_s=30.0, seed=2))
+    flat = {
+        key: RecordingFile(
+            subject=rec.subject,
+            state=rec.state,
+            sample_rate_hz=rec.sample_rate_hz,
+            channel_ids=rec.channel_ids,
+            samples=np.zeros_like(rec.samples),
+        )
+        for key, rec in cohort.recordings.items()
+    }
+    return Cohort(recordings=flat, seed=cohort.seed)
+
+
 class TestSignificanceLevel:
     DIFFS = np.array([0.3, -0.1, 0.8, 0.2, 0.5, -0.4, 0.9, 0.1])
 
@@ -442,19 +496,7 @@ class TestSignificanceLevel:
 
     @pytest.fixture(scope="class")
     def flat_cohort(self):
-        # Every signal is flat, so compressing any of them raises.
-        cohort = simulate_cohort(CohortSpec(subjects=3, duration_s=30.0, seed=2))
-        flat = {
-            key: RecordingFile(
-                subject=rec.subject,
-                state=rec.state,
-                sample_rate_hz=rec.sample_rate_hz,
-                channel_ids=rec.channel_ids,
-                samples=np.zeros_like(rec.samples),
-            )
-            for key, rec in cohort.recordings.items()
-        }
-        return Cohort(recordings=flat, seed=cohort.seed)
+        return make_flat_cohort(4)
 
     def test_flat_cohort_cannot_be_compressed(self, flat_cohort):
         with pytest.raises(ValueError, match="zero energy"):
@@ -568,6 +610,46 @@ class TestPipeline:
             compare_states(cohort, "basal", "severe", cr=3.0)
         with pytest.raises(ValueError, match=message):
             cr_sweep(cohort, crs=[3.0])
+
+    def test_fewer_than_four_subjects_rejected_before_compressing(self):
+        # Compressing any signal of this cohort would raise "zero energy".
+        cohort = make_flat_cohort(3)
+        message = r"^paired comparisons need at least 4 subjects, the cohort has 3$"
+        with pytest.raises(ValueError, match=message):
+            compare_states(cohort, "basal", "severe")
+        with pytest.raises(ValueError, match=message):
+            cr_sweep(cohort, [2.0, 3.0])
+
+    def test_identical_states_name_channel_and_pair(self, small_cohort):
+        recordings = dict(small_cohort.recordings)
+        for subject in small_cohort.subjects:
+            basal = small_cohort.get(subject, "basal")
+            recordings[(subject, "severe")] = type(basal)(
+                subject=subject,
+                state="severe",
+                sample_rate_hz=basal.sample_rate_hz,
+                channel_ids=basal.channel_ids,
+                samples=basal.samples,
+            )
+        cohort = type(small_cohort)(recordings=recordings, seed=small_cohort.seed)
+        message = r"^channel 7, basal:severe: degenerate: no differences between the groups$"
+        with pytest.raises(ValueError, match=message):
+            compare_states(cohort, "basal", "severe", cr=3.0)
+        with pytest.raises(ValueError, match=message):
+            cr_sweep(cohort, crs=[3.0])
+
+    def test_zero_variance_differences_name_channel_and_pair(self, small_cohort, monkeypatch):
+        basal = np.array([1.0, 2.0, 4.0, 3.0])
+        table = {
+            (3.0, "basal"): {7: basal, 8: basal},
+            (3.0, "severe"): {7: basal + [0.5, 0.1, 0.9, 0.2], 8: basal + 1.0},
+        }
+        monkeypatch.setattr(stats, "_prd_table", lambda *args: table)
+        message = r"^channel 8, basal:severe: lilliefors is undefined for a zero-variance sample$"
+        with pytest.raises(ValueError, match=message):
+            compare_states(small_cohort, "basal", "severe", cr=3.0)
+        with pytest.raises(ValueError, match=message):
+            cr_sweep(small_cohort, crs=[3.0], pairs=(("basal", "severe"),))
 
     def test_scaling_cohort_does_not_change_decisions(self, small_cohort):
         rows = compare_states(small_cohort, "basal", "severe", cr=3.0)
