@@ -64,7 +64,9 @@ class CompressionConfig:
     def resolve_levels(self, sample_period_s: float, n_samples: int) -> int:
         if self.levels == "auto":
             chosen = select_scales(self.filters, sample_period_s, DEFAULT_TARGET_FREQUENCY_HZ)
-            max_depth = int(np.floor(np.log2(n_samples)))
+            # At least depth 1, so a too-short signal is rejected for its
+            # length, as with an explicit depth.
+            max_depth = max(1, int(np.floor(np.log2(n_samples))))
             return min(chosen, max_depth)
         return int(self.levels)
 

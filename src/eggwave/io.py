@@ -272,7 +272,6 @@ class Manifest:
     """Resolved cohort index: one recording path per (subject, state)."""
 
     entries: tuple
-    root: Path
     seed: object = None
 
 
@@ -342,7 +341,7 @@ def read_manifest(path) -> Manifest:
         raise ValueError(
             f"{path}: missing recording files: " + "; ".join(missing)
         )
-    return Manifest(entries=tuple(entries), root=path.parent, seed=seed)
+    return Manifest(entries=tuple(entries), seed=seed)
 
 
 @dataclass

@@ -9,7 +9,7 @@ cohort gives the aggregate best-matching point ``(a*, b*)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -101,17 +101,21 @@ def prd_surface(x, grid: GridSpec, cr: float = 3.0, levels: int = 6) -> PrdSurfa
     return PrdSurface(a_values=a_values, b_values=b_values, prd=values, cr=cr, levels=levels)
 
 
-def refine_surface(x, surface: PrdSurface, resolution: int = 8) -> PrdSurface:
+#: Nodes per axis of the sub-grid that :func:`refine_surface` scans.
+REFINE_RESOLUTION = 8
+
+
+def refine_surface(x, surface: PrdSurface) -> PrdSurface:
     """Re-scan one grid cell around the surface argmin at finer spacing.
 
-    The sub-grid spans one original cell on each side of the argmin,
-    clamped to the plane bounds.
+    The sub-grid has ``REFINE_RESOLUTION`` nodes per axis and spans one
+    original cell on each side of the argmin, clamped to the plane bounds.
     """
     a_star, b_star, _ = surface.argmin
     step_a = surface.a_values[1] - surface.a_values[0]
     step_b = surface.b_values[1] - surface.b_values[0]
     grid = GridSpec(
-        resolution=resolution,
+        resolution=REFINE_RESOLUTION,
         a_range=(max(-math.pi, a_star - step_a), min(math.pi, a_star + step_a)),
         b_range=(max(-math.pi, b_star - step_b), min(math.pi, b_star + step_b)),
     )
@@ -174,17 +178,19 @@ class PlaneMinimum:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Cohort-level wavelet match: per-recording minima and their mean."""
+    """Cohort-level wavelet match: per-recording minima and their mean.
+
+    ``aggregate`` is derived from ``minima`` by :func:`aggregate_best`, so
+    an empty ``minima`` raises ``ValueError``.
+    """
 
     minima: tuple
-    aggregate: tuple  # (a*, b*) in radians
     cr: float
     levels: int
+    aggregate: tuple = field(init=False)  # (a*, b*) in radians
 
     def __post_init__(self):
-        expected = aggregate_best([(m.a, m.b) for m in self.minima])
-        if not np.allclose(self.aggregate, expected, atol=1e-12):
-            raise ValueError("aggregate must be the mean of the per-recording minima")
+        object.__setattr__(self, "aggregate", aggregate_best([(m.a, m.b) for m in self.minima]))
 
 
 def match_cohort(
@@ -212,10 +218,7 @@ def match_cohort(
         PlaneMinimum(subject=subject, channel=int(ch), a=a, b=b, prd_percent=value)
         for subject, _, ch, (a, b, value) in traces
     ]
-    aggregate = aggregate_best([(m.a, m.b) for m in minima])
-    return MatchResult(
-        minima=tuple(minima), aggregate=aggregate, cr=float(cr), levels=int(levels)
-    )
+    return MatchResult(minima=tuple(minima), cr=float(cr), levels=int(levels))
 
 
 def surface_to_csv(surface: PrdSurface, path) -> Path:

@@ -143,14 +143,12 @@ def _state_index(state: str) -> int:
     return STATES.index(state)
 
 
-def state_model(
-    spec: CohortSpec, subject: int, state: str, noise_level: float = NOISE_SIGMA
-) -> StateModel:
+def state_model(spec: CohortSpec, subject: int, state: str) -> StateModel:
     """Draw the deterministic generator model for one (subject, state).
 
     Channel gains are keyed by subject only, so the three states of a
     subject share electrode gains; everything else is keyed by
-    (seed, subject, state).
+    (seed, subject, state).  The noise level is ``NOISE_SIGMA``.
     """
     if state not in STATE_GENERATORS:
         raise ValueError(f"unknown state {state!r}; expected one of {STATES}")
@@ -180,7 +178,7 @@ def state_model(
         amplitudes=amplitudes,
         phases=phases,
         mixing=mixing,
-        noise_level=noise_level,
+        noise_level=NOISE_SIGMA,
     )
 
 

@@ -62,21 +62,18 @@ def _check_level(alpha: float) -> None:
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Result of a single hypothesis test."""
+    """Result of a single hypothesis test: its statistic and p-value.
+
+    A test only reports; :func:`compare_paired` decides significance.
+    """
 
     test_name: str
     statistic: float
     p_value: float
-    significant_at: float
 
     def __post_init__(self):
-        _check_level(self.significant_at)
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
-
-    @property
-    def significant(self) -> bool:
-        return self.p_value < self.significant_at
 
 
 @dataclass(frozen=True)
@@ -236,7 +233,7 @@ def _lilliefors_null_table(n: int) -> np.ndarray:
     return table
 
 
-def lilliefors(samples, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
+def lilliefors(samples) -> TestOutcome:
     """Normality test with estimated mean and variance.
 
     The statistic is the Kolmogorov-Smirnov sup distance of the
@@ -260,7 +257,7 @@ def lilliefors(samples, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
     table = _lilliefors_null_table(x.size)
     exceeding = table.size - int(np.searchsorted(table, statistic, side="left"))
     p_value = (exceeding + 1) / (table.size + 1)
-    return TestOutcome("lilliefors", statistic, float(p_value), alpha)
+    return TestOutcome("lilliefors", statistic, float(p_value))
 
 
 #: Tolerance and term cap of the incomplete-beta continued fraction.
@@ -349,7 +346,7 @@ def _t_two_sided_p(t: float, df: int) -> float:
     return 1.0 - _incomplete_beta(1 - x, 0.5, a, beta)
 
 
-def paired_t(diffs, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
+def paired_t(diffs) -> TestOutcome:
     """Two-sided paired-difference t test on per-subject differences.
 
     ``t = mean / (sd / sqrt(n))`` with ``n - 1`` degrees of freedom.
@@ -360,7 +357,7 @@ def paired_t(diffs, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
         raise ValueError("paired t test is undefined for zero-variance differences")
     n = d.size
     t = float(d.mean() / (sd / math.sqrt(n)))
-    return TestOutcome("paired-t", t, min(_t_two_sided_p(t, n - 1), 1.0), alpha)
+    return TestOutcome("paired-t", t, min(_t_two_sided_p(t, n - 1), 1.0))
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
@@ -392,7 +389,7 @@ def _exact_signed_rank_p(ranks: np.ndarray, w_plus: float) -> float:
     return int(counts[extreme].sum()) / 2 ** ranks.size
 
 
-def wilcoxon_signed_rank(diffs, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
+def wilcoxon_signed_rank(diffs) -> TestOutcome:
     """Two-sided Wilcoxon signed-rank test on per-subject differences.
 
     Zero differences are dropped; magnitude ties take mid-ranks.  Up to 20
@@ -420,17 +417,20 @@ def wilcoxon_signed_rank(diffs, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
         sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
         z = (abs(w_plus - mu) - 0.5) / sigma
         p_value = min(1.0, math.erfc(z / math.sqrt(2.0)))
-    return TestOutcome("wilcoxon", w_plus, p_value, alpha)
+    return TestOutcome("wilcoxon", w_plus, p_value)
 
 
 def compare_paired(group_a, group_b, channel: int, alpha: float = DEFAULT_ALPHA) -> ChannelComparison:
     """Compare two aligned groups of per-subject PRD values for one channel.
 
-    Differences are taken ``group_b - group_a``.  A Lilliefors gate at the
-    same ``alpha`` routes them: the paired t test when normality is not
-    rejected, the Wilcoxon signed-rank test otherwise.  Each group needs
-    at least the gate's 4 values.
+    Differences are taken ``group_b - group_a``.  ``alpha`` is applied
+    twice: a Lilliefors gate at ``alpha`` routes the differences to the
+    paired t test when normality is not rejected and to the Wilcoxon
+    signed-rank test otherwise, and the row is significant when the routed
+    test's p-value is below ``alpha``.  Each group needs at least the
+    gate's 4 values.
     """
+    _check_level(alpha)
     a = _as_diffs(group_a, LILLIEFORS_MIN_VALUES, "paired comparison")
     b = _as_diffs(group_b, LILLIEFORS_MIN_VALUES, "paired comparison")
     if a.size != b.size:
@@ -440,17 +440,16 @@ def compare_paired(group_a, group_b, channel: int, alpha: float = DEFAULT_ALPHA)
     diffs = b - a
     if np.all(diffs == 0.0):
         raise ValueError("degenerate: no differences between the groups")
-    gate = lilliefors(diffs, alpha)
-    if gate.p_value >= alpha:
-        outcome = paired_t(diffs, alpha)
+    if lilliefors(diffs).p_value >= alpha:
+        outcome = paired_t(diffs)
     else:
-        outcome = wilcoxon_signed_rank(diffs, alpha)
+        outcome = wilcoxon_signed_rank(diffs)
     return ChannelComparison(
         channel=int(channel),
         test_name=outcome.test_name,
         delta_mean=float(diffs.mean()),
         delta_sd=float(diffs.std(ddof=1)),
-        significant=outcome.significant,
+        significant=outcome.p_value < alpha,
         p_value=outcome.p_value,
     )
 
@@ -579,32 +578,29 @@ def cr_sweep(
     return points
 
 
+def _comparison_cells(row: ChannelComparison) -> tuple:
+    # The six cells of one comparison row, as both renderings print them.
+    return (
+        str(row.channel),
+        _STATISTICS_LABEL[row.test_name],
+        f"{row.delta_mean:.6f}",
+        f"{row.delta_sd:.6f}",
+        "Yes" if row.significant else "No",
+        f"{row.p_value:.6f}",
+    )
+
+
 def comparisons_to_csv(rows) -> str:
     """Render comparison rows as CSV with the standard six-column layout."""
     lines = ["channel,statistics,dprd_mean,dprd_sd,significant,p_value"]
-    for r in rows:
-        lines.append(
-            f"{r.channel},{_STATISTICS_LABEL[r.test_name]},"
-            f"{r.delta_mean:.6f},{r.delta_sd:.6f},"
-            f"{'Yes' if r.significant else 'No'},{r.p_value:.6f}"
-        )
+    lines.extend(",".join(_comparison_cells(r)) for r in rows)
     return "\n".join(lines) + "\n"
 
 
 def comparisons_to_text(rows, alpha: float = DEFAULT_ALPHA) -> str:
     """Render comparison rows as an aligned plain-text table."""
     header = ("Channel", "Statistics", "dPRD Mean", "dPRD SD", "Significant?", "p-value")
-    body = [
-        (
-            str(r.channel),
-            _STATISTICS_LABEL[r.test_name],
-            f"{r.delta_mean:.6f}",
-            f"{r.delta_sd:.6f}",
-            "Yes" if r.significant else "No",
-            f"{r.p_value:.6f}",
-        )
-        for r in rows
-    ]
+    body = [_comparison_cells(r) for r in rows]
     widths = [
         max([len(h)] + [len(row[i]) for row in body]) for i, h in enumerate(header)
     ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,23 +98,21 @@ def quadrature_mirror(h: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FilterPair:
-    """Analysis filter pair of an orthonormal wavelet.
+    """Analysis filter pair of an orthonormal wavelet, built from its low-pass.
 
-    Construction validates admissibility (``sum(h) == sqrt(2)``),
-    double-shift orthonormality and the quadrature-mirror relation, so a
-    FilterPair is always safe to hand to the transform.
+    The high-pass ``g`` is derived from ``h`` as its quadrature mirror.
+    Construction validates admissibility (``sum(h) == sqrt(2)``), unit
+    norm and double-shift orthonormality of ``h``, so a FilterPair is
+    always safe to hand to the transform.
     """
 
     h: np.ndarray
-    g: np.ndarray
+    g: np.ndarray = field(init=False)
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=np.float64).copy()
-        g = np.asarray(self.g, dtype=np.float64).copy()
         if h.ndim != 1 or h.size not in (2, 4, 6):
             raise ValueError("low-pass filter must have 2, 4, or 6 taps")
-        if g.shape != h.shape:
-            raise ValueError("high-pass filter must match the low-pass length")
         if abs(h.sum() - SQRT2) > FILTER_TOL:
             raise ValueError("filter not admissible: sum(h) != sqrt(2)")
         if abs(np.dot(h, h) - 1.0) > FILTER_TOL:
@@ -122,17 +120,11 @@ class FilterPair:
         for k in range(1, h.size // 2):
             if abs(np.dot(h[: -2 * k], h[2 * k :])) > FILTER_TOL:
                 raise ValueError("filter fails double-shift orthonormality")
-        if np.max(np.abs(g - quadrature_mirror(h))) > FILTER_TOL:
-            raise ValueError("high-pass filter is not the quadrature mirror of h")
+        g = quadrature_mirror(h)
         h.flags.writeable = False
         g.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g", g)
-
-    @classmethod
-    def from_lowpass(cls, h) -> "FilterPair":
-        h = np.asarray(h, dtype=np.float64)
-        return cls(h=h, g=quadrature_mirror(h))
 
     @property
     def length(self) -> int:
@@ -202,7 +194,7 @@ def named_wavelet(name: str) -> FilterPair:
         raise ValueError(
             f"unknown wavelet {name!r}; supported families: {supported}"
         ) from None
-    return FilterPair.from_lowpass(taps)
+    return FilterPair(taps)
 
 
 def pollen_filter(a: float, b: float) -> FilterPair:
@@ -230,7 +222,7 @@ def pollen_filter(a: float, b: float) -> FilterPair:
     h3 = (1 + cab - sab) / (2 * SQRT2)
     h4 = 1 / SQRT2 - h0 - h2
     h5 = 1 / SQRT2 - h1 - h3
-    return FilterPair.from_lowpass((h0, h1, h2, h3, h4, h5))
+    return FilterPair((h0, h1, h2, h3, h4, h5))
 
 
 def resolve_wavelet(spec) -> FilterPair:
@@ -365,8 +357,8 @@ def dwt_forward(x, filters: FilterPair, levels: int) -> DwtCoefficients:
     levels : int
         Decomposition depth ``>= 1``.
     """
-    period = x.sample_period_s if isinstance(x, Signal) else 0.1
-    samples = as_samples(x)
+    signal = x if isinstance(x, Signal) else Signal(x)
+    samples = signal.samples
     levels = int(levels)
     if levels < 1:
         raise ValueError("decomposition depth must be at least 1")
@@ -385,7 +377,7 @@ def dwt_forward(x, filters: FilterPair, levels: int) -> DwtCoefficients:
         details=details,
         approximation=v,
         input_lengths=tuple(lengths),
-        sample_period_s=period,
+        sample_period_s=signal.sample_period_s,
     )
 
 

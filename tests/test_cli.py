@@ -166,6 +166,19 @@ class TestLocatedErrors:
         assert "Error: subject dog01, state mild, channel 10: " in result.output
         assert "zero energy" in result.output
 
+    def test_compress_names_a_one_sample_trace(self, tmp_path):
+        result = run(
+            "simulate", "--out", tmp_path, "--subjects", "4", "--channels", "2",
+            "--duration", "0.1",
+        )
+        assert result.exit_code == 0, result.output
+        result = run("compress", "--data", tmp_path / "manifest.txt")
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: subject dog00, state basal, channel 7: "
+            "depth 1 too deep for a 1-sample signal\n"
+        )
+
     @pytest.mark.parametrize("command", ["stats", "sweep"])
     def test_comparisons_reject_three_subjects(self, tmp_path, command):
         result = run(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eggwave.compression import (
+    DEFAULT_TARGET_FREQUENCY_HZ,
     CompressionConfig,
     _compress_ratios,
     _keep_mask,
@@ -22,6 +23,7 @@ from eggwave.wavelets import (
     dwt_inverse,
     named_wavelet,
     resolve_wavelet,
+    select_scales,
 )
 
 
@@ -203,6 +205,22 @@ class TestCompress:
         explicit = compress(x, CompressionConfig(wavelet="daubechies-3", cr=3.0, levels=7))
         assert auto.levels == 7
         assert auto.prd_percent == explicit.prd_percent
+
+    def test_auto_depth_on_one_sample_names_the_length(self):
+        # The auto depth is clamped at 1, so a 1-sample signal is rejected
+        # for its length, as with an explicit depth of 1.
+        message = r"^depth 1 too deep for a 1-sample signal$"
+        with pytest.raises(ValueError, match=message):
+            compress(np.array([1.0]))
+        with pytest.raises(ValueError, match=message):
+            compress(np.array([1.0]), CompressionConfig(levels=1))
+
+    @pytest.mark.parametrize("wavelet", ["haar", "daubechies-3"])
+    def test_auto_depth_from_two_samples_is_the_clamped_choice(self, wavelet):
+        config = CompressionConfig(wavelet=wavelet)
+        chosen = select_scales(config.filters, 0.1, DEFAULT_TARGET_FREQUENCY_HZ)
+        for n in range(2, 300):
+            assert config.resolve_levels(0.1, n) == min(chosen, int(math.log2(n)))
 
     def test_auto_depth_works_for_plane_points(self):
         x = np.random.default_rng(12).standard_normal(2000)

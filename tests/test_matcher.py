@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from eggwave.compression import CompressionConfig, compress
 from eggwave.matcher import (
+    REFINE_RESOLUTION,
     GridSpec,
     MatchResult,
     PlaneMinimum,
@@ -135,11 +136,16 @@ class TestPrdSurface:
 class TestRefineSurface:
     def test_refinement_does_not_worsen_minimum(self, square_surface):
         x, surface = square_surface
-        refined = refine_surface(x, surface, resolution=8)
+        refined = refine_surface(x, surface)
         assert refined.argmin[2] <= surface.argmin[2] + 1e-12
         step = surface.a_values[1] - surface.a_values[0]
         assert abs(refined.argmin[0] - surface.argmin[0]) <= step + 1e-12
         assert abs(refined.argmin[1] - surface.argmin[1]) <= step + 1e-12
+
+    def test_refined_grid_has_the_fixed_resolution(self, square_surface):
+        x, surface = square_surface
+        refined = refine_surface(x, surface)
+        assert refined.prd.shape == (REFINE_RESOLUTION, REFINE_RESOLUTION)
 
 
 class TestSurfaceMinima:
@@ -273,15 +279,20 @@ class TestMatchCohort:
             ).prd_percent
             assert m.prd_percent <= db3 + 0.5
 
-    def test_inconsistent_aggregate_rejected(self, match_result):
+    def test_aggregate_derived_from_minima(self, match_result):
         _, result = match_result
-        with pytest.raises(ValueError, match="mean"):
-            MatchResult(
-                minima=result.minima,
-                aggregate=(0.0, 0.0),
-                cr=result.cr,
-                levels=result.levels,
-            )
+        rebuilt = MatchResult(result.minima, result.cr, result.levels)
+        assert rebuilt.aggregate == aggregate_best([(m.a, m.b) for m in result.minima])
+        assert rebuilt.aggregate == result.aggregate
+
+    def test_aggregate_cannot_be_passed(self, match_result):
+        _, result = match_result
+        with pytest.raises(TypeError):
+            MatchResult(result.minima, (0.0, 0.0), result.cr, result.levels)
+
+    def test_empty_minima_rejected(self):
+        with pytest.raises(ValueError, match="^cannot aggregate an empty list of minima$"):
+            MatchResult((), 3.0, 6)
 
     def test_too_short_recording_names_the_trace(self):
         cohort = simulate_cohort(CohortSpec(subjects=3, duration_s=5.0, seed=3))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,7 @@ class TestSimulateRecording:
             simulate_recording(other, model, 0)
 
     def test_noise_free_basal_is_periodic_in_band(self):
-        model = state_model(SMALL, 0, "basal", noise_level=0.0)
+        model = replace(state_model(SMALL, 0, "basal"), noise_level=0.0)
         rec = simulate_recording(SMALL, model, 0)
         for ch in rec.channel_ids:
             x = rec.channel(ch)
@@ -123,7 +125,7 @@ class TestSimulateRecording:
         for subject in range(SMALL.subjects):
             powers = {}
             for state in ("basal", "mild", "severe"):
-                model = state_model(SMALL, subject, state, noise_level=0.0)
+                model = replace(state_model(SMALL, subject, state), noise_level=0.0)
                 rec = simulate_recording(SMALL, model, subject)
                 powers[state] = np.mean(rec.samples ** 2, axis=0)
             assert np.all(powers["basal"] >= powers["mild"])

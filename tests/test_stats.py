@@ -86,7 +86,6 @@ class TestLilliefors:
         x = np.random.default_rng(1).uniform(0.0, 1.0, 100)
         outcome = lilliefors(2.0 + 3.0 * x)
         assert outcome.p_value < 0.05
-        assert outcome.significant
 
     def test_empirical_size(self):
         rng = np.random.default_rng(123)
@@ -479,11 +478,11 @@ def make_flat_cohort(subjects):
 class TestSignificanceLevel:
     DIFFS = np.array([0.3, -0.1, 0.8, 0.2, 0.5, -0.4, 0.9, 0.1])
 
-    @pytest.mark.parametrize("test", [lilliefors, paired_t, wilcoxon_signed_rank])
     @pytest.mark.parametrize("alpha", [1.5, -1.0, 0.0, 1.0, float("nan")])
-    def test_every_outcome_rejects_a_level_outside_unit_interval(self, test, alpha):
+    def test_every_outcome_rejects_a_level_outside_unit_interval(self, alpha):
+        base = np.linspace(1.0, 2.0, 8)
         with pytest.raises(ValueError, match=r"^significance level must be in \(0, 1\)"):
-            test(self.DIFFS, alpha)
+            compare_paired(base, base + self.DIFFS, channel=7, alpha=alpha)
 
     def test_compare_paired_rejects_it(self):
         base = np.linspace(1.0, 2.0, 8)
@@ -491,8 +490,10 @@ class TestSignificanceLevel:
             compare_paired(base, base + self.DIFFS, channel=7, alpha=1.5)
 
     def test_levels_inside_accepted(self):
+        base = np.linspace(1.0, 2.0, 8)
         for alpha in (1e-9, 0.05, 0.999):
-            assert paired_t(self.DIFFS, alpha).significant_at == alpha
+            row = compare_paired(base, base + self.DIFFS, channel=7, alpha=alpha)
+            assert row.significant == (row.p_value < alpha)
 
     @pytest.fixture(scope="class")
     def flat_cohort(self):

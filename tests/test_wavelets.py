@@ -78,18 +78,25 @@ class TestNamedWavelet:
 class TestFilterPairValidation:
     def test_bad_sum_rejected(self):
         with pytest.raises(ValueError, match="admissible"):
-            FilterPair.from_lowpass([0.5, 0.5])
+            FilterPair([0.5, 0.5])
 
     def test_bad_orthonormality_rejected(self):
         taps = np.array([0.6, 0.6, 0.1, 0.11421356])
         taps = taps * (SQRT2 / taps.sum())
         with pytest.raises(ValueError):
-            FilterPair.from_lowpass(taps)
+            FilterPair(taps)
 
-    def test_mismatched_highpass_rejected(self):
+    @pytest.mark.parametrize("name", NAMED)
+    def test_highpass_derived_from_lowpass(self, name):
+        h = named_wavelet(name).h
+        assert np.array_equal(FilterPair(h).g, quadrature_mirror(h))
+
+    def test_highpass_cannot_be_passed(self):
         h = np.array([1 / SQRT2, 1 / SQRT2])
-        with pytest.raises(ValueError, match="quadrature mirror"):
-            FilterPair(h=h, g=np.array([1 / SQRT2, 1 / SQRT2]))
+        with pytest.raises(TypeError):
+            FilterPair(h, quadrature_mirror(h))
+        with pytest.raises(TypeError):
+            FilterPair(h=h, g=quadrature_mirror(h))
 
 
 class TestPollenFilter:
@@ -267,6 +274,11 @@ class TestInverseTransform:
         f = named_wavelet("haar")
         assert dwt_inverse(dwt_forward(x, f, 2), f).sample_period_s == 0.25
 
+    def test_array_input_takes_the_signal_default_period(self):
+        x = np.arange(16.0)
+        coeffs = dwt_forward(x, named_wavelet("haar"), 2)
+        assert coeffs.sample_period_s == Signal(x).sample_period_s
+
 
 def reference_analysis_step(v, h, g):
     """Direct Mallat pyramid step: circular gather of every tap."""
@@ -408,8 +420,14 @@ class TestTransformProperties:
     def test_plane_points_are_admissible(self, point):
         filters = pollen_filter(*point)
         # Re-validating the taps runs every FilterPair admissibility check.
-        FilterPair(h=filters.h, g=filters.g)
+        FilterPair(filters.h)
         assert filter_invariant_errors(filters.h) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(point=plane_points)
+    def test_highpass_derived_from_lowpass_on_the_plane(self, point):
+        h = pollen_filter(*point).h
+        assert np.array_equal(FilterPair(h).g, quadrature_mirror(h))
 
 
 class TestCenterFrequency:
