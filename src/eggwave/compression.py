@@ -18,6 +18,7 @@ from .wavelets import (
     Signal,
     as_samples,
     _inverse_rows,
+    _scratch,
     dwt_forward,
     resolve_wavelet,
     select_scales,
@@ -143,21 +144,32 @@ def compress(x, config: CompressionConfig = CompressionConfig()) -> CompressionR
     of ``2**levels``; see :func:`keep_largest`.
     """
     signal = x if isinstance(x, Signal) else Signal(x)
-    return _compress_ratios(signal, config, (config.cr,))[0]
+    # No workspace: one signal has nothing to reuse, and a fresh one would
+    # free every level's buffers together at the end, which lets glibc
+    # trim the heap top and fault those pages in again on the next call.
+    return _compress_ratios(signal, config, (config.cr,), None)[0]
 
 
-def _compress_ratios(signal: Signal, config: CompressionConfig, crs) -> list:
+def _compress_ratios(signal: Signal, config: CompressionConfig, crs, work) -> list:
     # compress at every ratio in ``crs`` (``config.cr`` is not used): the
     # depth search and the forward transform do not depend on the ratio,
     # so they run once, and all the reconstructions come out of one
     # stacked inverse pass.  Each result equals compress at that ratio.
+    # The masked rows and the synthesis temporaries come from the
+    # workspace ``work`` (see wavelets._scratch), which a caller
+    # compressing many signals shares between calls; the results copy
+    # out of it.
     levels = config.resolve_levels(signal.sample_period_s, len(signal))
     coeffs = dwt_forward(signal, config.filters, levels)
     total = coeffs.total_count
     flat = coeffs.to_flat()
     kept = [max(1, int(total // cr)) for cr in crs]
     masks = np.stack([_keep_mask(flat, keep) for keep in kept])
-    rows = _inverse_rows(np.where(masks, flat, 0.0), coeffs, config.filters)
+    # A dropped negative coefficient comes out as -0.0 here, not +0.0, but
+    # every synthesis sum starts from +0.0, so the rows rebuild bit for bit
+    # as from np.where(masks, flat, 0.0).
+    masked = np.multiply(masks, flat, out=_scratch(work, "masked", masks.shape))
+    rows = _inverse_rows(masked, coeffs, config.filters, work)
     results = []
     for cr, keep, mask, row in zip(crs, kept, masks, rows):
         reconstruction = Signal(row, sample_period_s=coeffs.sample_period_s)

@@ -211,12 +211,11 @@ def _ks_distance(z_rows: np.ndarray) -> np.ndarray:
 #: The null table is drawn, standardized and scored in blocks of about this
 #: many values, so its memory does not depend on the sample size.  One
 #: generator feeds every block and each row is reduced on its own, so the
-#: table equals a one-shot draw of all 50,000 rows bit for bit.  Smaller
-#: blocks build the table faster but stay under glibc's default 128 KiB
-#: mmap threshold; freeing 512 KiB ones raises it, which keeps a later
-#: cr_sweep's stacked synthesis from faulting in fresh pages (~0.4 s on a
-#: 16-subject sweep).
-_KS_BLOCK_VALUES = 1 << 16
+#: table equals a one-shot draw of all 50,000 rows bit for bit.  A block's
+#: temporaries (64 KiB each) stay below glibc's default 128 KiB mmap
+#: threshold, so the heap reuses them from block to block instead of
+#: mapping and zeroing fresh pages for each one.
+_KS_BLOCK_VALUES = 1 << 13
 
 
 @functools.lru_cache(maxsize=64)
@@ -464,13 +463,15 @@ def detection_rate(rows) -> float:
 
 def _prd_table(cohort: Cohort, states, config: CompressionConfig, crs) -> dict:
     # {(cr, state): {channel: PRD array over sorted subjects}}, states and ratios
-    # de-duplicated in first-seen order; each signal is transformed once.
+    # de-duplicated in first-seen order; each signal is transformed once, and
+    # every signal of the pass is rebuilt in one shared synthesis workspace.
     states = list(dict.fromkeys(states))
     ratios = list(dict.fromkeys(crs))
     table = {
         (cr, state): {ch: [] for ch in cohort.channel_ids} for cr in ratios for state in states
     }
-    traces = cohort.apply(lambda signal: _compress_ratios(signal, config, ratios), states)
+    work = {}
+    traces = cohort.apply(lambda signal: _compress_ratios(signal, config, ratios, work), states)
     for _, state, ch, results in traces:
         for cr, result in zip(ratios, results):
             table[(cr, state)][ch].append(result.prd_percent)
@@ -548,7 +549,10 @@ def cr_sweep(
 
     Each signal is transformed once, and all its ratios are rebuilt from
     that one transform in one stacked synthesis pass; the PRDs equal
-    those of :func:`state_prds` at each ratio bit for bit.  Points come
+    those of :func:`state_prds` at each ratio bit for bit.  The synthesis
+    buffers are allocated once per sweep and reused for every signal, so
+    a sweep run first in a process does not fault in fresh pages for
+    each one.  Points come
     ratio by ratio in the order given (duplicates included), then pair
     by pair.  Cohort size and channel errors are reported as by
     :func:`compare_states`.

@@ -255,7 +255,7 @@ class DwtCoefficients:
     details: list
     approximation: np.ndarray
     input_lengths: tuple
-    sample_period_s: float = 0.1
+    sample_period_s: float
 
     @property
     def levels(self) -> int:
@@ -313,7 +313,22 @@ def _analysis_step(v: np.ndarray, h: np.ndarray, g: np.ndarray):
     return approx, detail
 
 
-def _synthesis_step(approx, detail, h, g, out_len):
+def _scratch(work, role: str, shape: tuple) -> np.ndarray:
+    # A float buffer with stale contents; the caller overwrites every
+    # element.  With a workspace dict ``work`` it is kept under (role,
+    # shape) and handed out again on every later request for it, so a pass
+    # over many signals of one length allocates each buffer once.  With
+    # ``work=None`` it is a plain temporary.
+    if work is None:
+        return np.empty(shape)
+    key = (role, shape)
+    buf = work.get(key)
+    if buf is None:
+        buf = work[key] = np.empty(shape)
+    return buf
+
+
+def _synthesis_step(approx, detail, h, g, out_len, work):
     # Polyphase form: output sample 2i + p sums the taps m = p, p + 2, ...
     # against band index (i - m // 2) mod half, so each tap adds a slice
     # of the left-extended bands to one phase row.  Taps must run in
@@ -321,21 +336,29 @@ def _synthesis_step(approx, detail, h, g, out_len):
     # out[(2k + m) mod n] += h[m] a[k] + g[m] d[k] bit for bit.  Leading
     # axes are batch axes: every row gets exactly the sums it gets alone.
     # Phase-major rows and reused products keep a stack of rows in cache.
+    # The extended bands, phase rows, products and output come from
+    # ``_scratch(work, ...)``; with a workspace the returned view holds
+    # until the next step of the same shape.
     half = approx.shape[-1]
     lag = h.size // 2 - 1
-    wrap = np.arange(-lag, half) % half
-    a_ext = approx.take(wrap, axis=-1)
-    d_ext = detail.take(wrap, axis=-1)
-    phases = np.zeros((2,) + approx.shape)
-    term = np.empty(approx.shape)
-    g_term = np.empty(approx.shape)
+    ext_shape = approx.shape[:-1] + (half + lag,)
+    # mode="wrap" reads index -j as half - j (several turns when the band is
+    # shorter than the lag) and, unlike the default mode, writes straight
+    # into ``out`` without a temporary.
+    wrap = np.arange(-lag, half)
+    a_ext = approx.take(wrap, axis=-1, mode="wrap", out=_scratch(work, "a_ext", ext_shape))
+    d_ext = detail.take(wrap, axis=-1, mode="wrap", out=_scratch(work, "d_ext", ext_shape))
+    phases = _scratch(work, "phases", (2,) + approx.shape)
+    phases.fill(0.0)
+    term = _scratch(work, "term", approx.shape)
+    g_term = _scratch(work, "g_term", approx.shape)
     for m in range(h.size):
         s = lag - m // 2
         np.multiply(h[m], a_ext[..., s : s + half], out=term)
         np.multiply(g[m], d_ext[..., s : s + half], out=g_term)
         term += g_term
         phases[m % 2] += term
-    out = np.empty(approx.shape[:-1] + (2 * half,))
+    out = _scratch(work, "out", approx.shape[:-1] + (2 * half,))
     out[..., 0::2] = phases[0]
     out[..., 1::2] = phases[1]
     return out[..., :out_len]
@@ -405,20 +428,21 @@ def dwt_inverse(coeffs: DwtCoefficients, filters: FilterPair) -> Signal:
     signal sample for sample (perfect reconstruction).
     """
     _check_bookkeeping(coeffs)
-    v = _inverse_rows(coeffs.to_flat(), coeffs, filters)
+    v = _inverse_rows(coeffs.to_flat(), coeffs, filters, None)
     return Signal(v, sample_period_s=coeffs.sample_period_s)
 
 
-def _inverse_rows(rows: np.ndarray, layout: DwtCoefficients, filters: FilterPair) -> np.ndarray:
+def _inverse_rows(rows: np.ndarray, layout: DwtCoefficients, filters: FilterPair, work) -> np.ndarray:
     # Rebuild every row of ``rows`` (shape (..., total), each in
     # DwtCoefficients.to_flat order with the band sizes of ``layout``) in
     # one pass of the pyramid; each row comes out bit for bit as alone.
+    # With a workspace ``work`` the result is a view of one of its buffers.
     pos = layout.approximation.size
     v = rows[..., :pos]
     for band, n_true in zip(layout.details[::-1], layout.input_lengths[::-1]):
         detail = rows[..., pos : pos + band.size]
         pos += band.size
-        v = _synthesis_step(v, detail, filters.h, filters.g, n_true)
+        v = _synthesis_step(v, detail, filters.h, filters.g, n_true, work)
     return v
 
 

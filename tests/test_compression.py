@@ -44,6 +44,7 @@ def coeffs_from_flat(flat, approx_size, detail_sizes):
         details=details[::-1],
         approximation=approximation,
         input_lengths=tuple([flat.size] * len(detail_sizes)),
+        sample_period_s=0.1,
     )
 
 
@@ -325,13 +326,33 @@ class TestSharedKeepKernel:
             previous = result.kept_indices
 
 
+@st.composite
+def workspace_calls(draw):
+    """Signals, settings and ratios for a run of calls sharing one workspace."""
+    calls = []
+    for _ in range(draw(st.integers(2, 4))):
+        levels = draw(st.integers(1, 7))
+        n = draw(st.integers(2**levels, 2**levels + 300))
+        x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+        if draw(st.booleans()):
+            x = np.round(2.0 * x)  # tie-heavy: few distinct magnitudes
+            assume(float(np.dot(x, x)) > 0.0)
+        crs = draw(st.lists(st.one_of(st.sampled_from([1.0, 2.0, 3.0, 1e9]), st.floats(1.0, 50.0)),
+                            min_size=1, max_size=6))
+        config = CompressionConfig(wavelet=draw(wavelet_specs), levels=levels)
+        calls.append((Signal(x), config, crs))
+    # The first shape comes back after the workspace has served the others.
+    assume(calls[0][0].samples.size != calls[1][0].samples.size or len(calls[0][2]) != len(calls[1][2]))
+    return calls + calls[:1]
+
+
 class TestCompressRatios:
     """One transform and one stacked inverse must give compress at each ratio."""
 
     @staticmethod
     def assert_matches_compress(x, config, crs):
         signal = Signal(x)
-        results = _compress_ratios(signal, config, crs)
+        results = _compress_ratios(signal, config, crs, {})
         assert len(results) == len(crs)
         filters = resolve_wavelet(config.wavelet)
         for cr, got in zip(crs, results):
@@ -347,7 +368,8 @@ class TestCompressRatios:
             # The same result from the public building blocks, one row at a time.
             coeffs = dwt_forward(signal, filters, got.levels)
             alone = dwt_inverse(keep_largest(coeffs, got.kept), filters)
-            assert np.array_equal(got.reconstruction.samples, alone.samples)
+            # Byte equality also tells +0.0 from -0.0.
+            assert got.reconstruction.samples.tobytes() == alone.samples.tobytes()
             assert got.prd_percent == prd(signal, alone)
 
     @pytest.mark.parametrize("n", [128, 129, 6000, 6001, 1000])
@@ -359,7 +381,7 @@ class TestCompressRatios:
         crs = [5.0, 2.0, 5.0, 1.0, 1e9, 3.5, 2.0]
         config = CompressionConfig(wavelet="daubechies-3", levels=levels)
         self.assert_matches_compress(x, config, crs)
-        results = _compress_ratios(Signal(x), config, crs)
+        results = _compress_ratios(Signal(x), config, crs, {})
         assert results[3].kept == results[3].total_coefficients
         assert results[4].kept == 1
 
@@ -379,6 +401,29 @@ class TestCompressRatios:
             assume(float(np.dot(x, x)) > 0.0)
         config = CompressionConfig(wavelet=wavelet, levels=levels)
         self.assert_matches_compress(x, config, crs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(calls=workspace_calls())
+    def test_shared_workspace_equals_a_fresh_one(self, calls):
+        work = {}
+        earlier = []
+        for signal, config, crs in calls:
+            got = _compress_ratios(signal, config, crs, work)
+            want = _compress_ratios(signal, config, crs, {})
+            for g, w in zip(got, want, strict=True):
+                assert g.prd_percent == w.prd_percent
+                assert (g.kept, g.levels, g.cr) == (w.kept, w.levels, w.cr)
+                assert np.array_equal(g.kept_indices, w.kept_indices)
+                assert np.array_equal(g.reconstruction.samples, w.reconstruction.samples)
+            earlier.append((got, want))
+        # No result is a view of the workspace.
+        assert work
+        for buf in work.values():
+            buf.fill(np.nan)
+        for got, want in earlier:
+            for g, w in zip(got, want):
+                assert np.array_equal(g.reconstruction.samples, w.reconstruction.samples)
+                assert np.array_equal(g.kept_indices, w.kept_indices)
 
 
 def prd_by_kept(x, filters, levels):

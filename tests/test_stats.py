@@ -1,7 +1,12 @@
 import functools
 import itertools
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -34,6 +39,8 @@ from eggwave.stats import (
     sweep_to_csv,
     wilcoxon_signed_rank,
 )
+
+SRC = str(Path(stats.__file__).resolve().parents[1])
 
 
 def t_two_sided_p_oracle(t, df):
@@ -178,7 +185,7 @@ class TestNullTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 2.5e6
 
     def test_cached_table_is_read_only(self):
         table = stats._lilliefors_null_table(9)
@@ -201,23 +208,15 @@ def lilliefors_p_with_scipy_ndtr(x):
         return lilliefors(x).p_value
 
 
-def lilliefors_samples(n):
-    """Arbitrary finite samples of size ``n``, and seeded draws from four shapes."""
-    arbitrary = st.lists(
-        st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False), min_size=n, max_size=n
-    ).map(np.array)
-    shapes = {
-        "normal": lambda rng: rng.standard_normal(n),
-        "uniform": lambda rng: rng.uniform(-1.0, 1.0, n),
-        "exponential": lambda rng: rng.exponential(1.0, n),
-        "student-3": lambda rng: rng.standard_t(3, n),
-    }
-    seeded = st.builds(
-        lambda shape, seed: shapes[shape](np.random.default_rng(seed)),
-        st.sampled_from(sorted(shapes)),
-        st.integers(0, 2**32 - 1),
-    )
-    return st.one_of(arbitrary, seeded)
+#: Seeded sample shapes for the Lilliefors count check; ``integers`` ties.
+LILLIEFORS_SHAPES = {
+    "uniform-1e6": lambda rng, n: rng.uniform(-1e6, 1e6, n),
+    "integers": lambda rng, n: rng.integers(-2, 3, n).astype(np.float64),
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, n),
+    "exponential": lambda rng, n: rng.exponential(1.0, n),
+    "student-3": lambda rng, n: rng.standard_t(3, n),
+}
 
 
 class TestTails:
@@ -287,11 +286,19 @@ class TestTails:
 
     @pytest.mark.parametrize("n", range(4, 31))
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_lilliefors_counts_equal_scipy_ndtr(self, n, data):
+    @given(
+        shape=st.sampled_from(sorted(LILLIEFORS_SHAPES)),
+        seed=st.integers(0, 2**32 - 1),
+        value=st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+    )
+    def test_lilliefors_counts_equal_scipy_ndtr(self, n, shape, seed, value):
         # The Monte Carlo p-value is a count over the null table: the same
         # count with either CDF, for the sample and for all 50,000 draws.
-        x = data.draw(lilliefors_samples(n))
+        # The drawn value replaces one seeded sample: it makes the outliers
+        # and the boundary and tied values that seeded draws rarely do.
+        rng = np.random.default_rng(seed)
+        x = LILLIEFORS_SHAPES[shape](rng, n)
+        x[rng.integers(n)] = value
         assume(x.std(ddof=1) > 0.0)
         assert lilliefors(x).p_value == lilliefors_p_with_scipy_ndtr(x)
 
@@ -479,15 +486,11 @@ class TestSignificanceLevel:
     DIFFS = np.array([0.3, -0.1, 0.8, 0.2, 0.5, -0.4, 0.9, 0.1])
 
     @pytest.mark.parametrize("alpha", [1.5, -1.0, 0.0, 1.0, float("nan")])
-    def test_every_outcome_rejects_a_level_outside_unit_interval(self, alpha):
+    def test_level_outside_unit_interval_rejected(self, alpha):
         base = np.linspace(1.0, 2.0, 8)
-        with pytest.raises(ValueError, match=r"^significance level must be in \(0, 1\)"):
+        message = rf"^significance level must be in \(0, 1\), got {re.escape(repr(alpha))}$"
+        with pytest.raises(ValueError, match=message):
             compare_paired(base, base + self.DIFFS, channel=7, alpha=alpha)
-
-    def test_compare_paired_rejects_it(self):
-        base = np.linspace(1.0, 2.0, 8)
-        with pytest.raises(ValueError, match=r"in \(0, 1\), got 1\.5$"):
-            compare_paired(base, base + self.DIFFS, channel=7, alpha=1.5)
 
     def test_levels_inside_accepted(self):
         base = np.linspace(1.0, 2.0, 8)
@@ -715,6 +718,27 @@ class TestSweepTransformsOnce:
     def test_ratio_below_one_rejected(self, small_cohort):
         with pytest.raises(ValueError, match="compression ratio must be at least 1"):
             cr_sweep(small_cohort, [3.0, 0.5])
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's minor page faults")
+    def test_run_first_does_not_page_fault(self):
+        # cr_sweep as the first large work in a fresh interpreter, before
+        # any free has raised glibc's mmap threshold.  Fresh synthesis
+        # temporaries for every signal are each a new mapping (~10,600
+        # faults on this cohort); one workspace per pass takes ~900.
+        probe = (
+            "import resource\n"
+            "from eggwave import CohortSpec, cr_sweep, simulate_cohort\n"
+            "cohort = simulate_cohort(CohortSpec(subjects=4, channels=2, seed=7))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "cr_sweep(cohort, [2, 3, 4, 5, 8])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(out.stdout) < 4000
 
 
 def state_prds_direct(cohort, state, wavelet, cr, levels):

@@ -265,6 +265,7 @@ class TestInverseTransform:
             details=coeffs.details,
             approximation=coeffs.approximation,
             input_lengths=(64, 32, 17),
+            sample_period_s=coeffs.sample_period_s,
         )
         with pytest.raises(ValueError):
             dwt_inverse(broken, f)
@@ -374,10 +375,10 @@ class TestKernelOracle:
         rng = np.random.default_rng(seed)
         approx, detail = rng.standard_normal((2, k, half))
         out_len = 2 * half - odd
-        stacked = _synthesis_step(approx, detail, f.h, f.g, out_len)
+        stacked = _synthesis_step(approx, detail, f.h, f.g, out_len, {})
         assert stacked.shape == (k, out_len)
         for i in range(k):
-            alone = _synthesis_step(approx[i], detail[i], f.h, f.g, out_len)
+            alone = _synthesis_step(approx[i], detail[i], f.h, f.g, out_len, {})
             assert np.array_equal(stacked[i], alone)
             assert np.array_equal(alone, reference_synthesis_step(approx[i], detail[i], f.h, f.g, out_len))
 
@@ -396,7 +397,7 @@ class TestKernelOracle:
         coeffs = dwt_forward(rng.standard_normal(n), f, levels)
         keep = rng.random((k, coeffs.total_count)) < rng.random((k, 1))
         rows = np.where(keep, coeffs.to_flat(), 0.0)
-        stacked = _inverse_rows(rows, coeffs, f)
+        stacked = _inverse_rows(rows, coeffs, f, {})
         assert stacked.shape == (k, n)
         for i in range(k):
             row = coeffs.with_flat(rows[i])
