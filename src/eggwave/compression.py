@@ -8,7 +8,7 @@ root-mean-square difference (PRD) against the original samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,7 +101,7 @@ def keep_largest(coeffs: DwtCoefficients, keep: int) -> DwtCoefficients:
     """Zero all but the ``keep`` largest-magnitude coefficients.
 
     Retained values are copied bit-exactly; magnitude ties at the cutoff
-    are resolved toward the smaller flat index (flat order: coarsest
+    are resolved toward the smaller index of ``coeffs.flat`` (coarsest
     approximation first, then details coarse to fine).
 
     Keep sets are nested, so the PRD of the reconstruction cannot rise as
@@ -113,8 +113,7 @@ def keep_largest(coeffs: DwtCoefficients, keep: int) -> DwtCoefficients:
     total = coeffs.total_count
     if int(keep) != keep or not 1 <= keep <= total:
         raise ValueError(f"keep count must be in 1..{total}, got {keep}")
-    flat = coeffs.to_flat()
-    return coeffs.with_flat(np.where(_keep_mask(flat, int(keep)), flat, 0.0))
+    return replace(coeffs, flat=np.where(_keep_mask(coeffs.flat, int(keep)), coeffs.flat, 0.0))
 
 
 def prd(x, reconstruction) -> float:
@@ -162,14 +161,14 @@ def _compress_ratios(signal: Signal, config: CompressionConfig, crs, work) -> li
     levels = config.resolve_levels(signal.sample_period_s, len(signal))
     coeffs = dwt_forward(signal, config.filters, levels)
     total = coeffs.total_count
-    flat = coeffs.to_flat()
+    flat = coeffs.flat
     kept = [max(1, int(total // cr)) for cr in crs]
     masks = np.stack([_keep_mask(flat, keep) for keep in kept])
     # A dropped negative coefficient comes out as -0.0 here, not +0.0, but
     # every synthesis sum starts from +0.0, so the rows rebuild bit for bit
     # as from np.where(masks, flat, 0.0).
     masked = np.multiply(masks, flat, out=_scratch(work, "masked", masks.shape))
-    rows = _inverse_rows(masked, coeffs, config.filters, work)
+    rows = _inverse_rows(masked, coeffs.input_lengths, config.filters, work)
     results = []
     for cr, keep, mask, row in zip(crs, kept, masks, rows):
         reconstruction = Signal(row, sample_period_s=coeffs.sample_period_s)

@@ -346,7 +346,7 @@ def read_manifest(path) -> Manifest:
 
 @dataclass
 class Cohort:
-    """In-memory dataset: recordings keyed by (subject, state)."""
+    """In-memory dataset: recordings keyed by (subject, state), all with one set of channel ids."""
 
     recordings: dict
     seed: object = None
@@ -354,6 +354,14 @@ class Cohort:
     def __post_init__(self):
         if not self.recordings:
             raise ValueError("cohort holds no recordings")
+        # Every per-channel table is keyed by the first recording's ids.
+        ((first_subject, first_state), first), *rest = self.recordings.items()
+        for (subject, state), rec in rest:
+            if rec.channel_ids != first.channel_ids:
+                raise ValueError(
+                    f"recording ({subject}, {state}) has channel ids {rec.channel_ids}, "
+                    f"but ({first_subject}, {first_state}) has {first.channel_ids}"
+                )
 
     @property
     def subjects(self) -> list:

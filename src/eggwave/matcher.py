@@ -86,10 +86,18 @@ class PrdSurface:
         return (float(self.a_values[i]), float(self.b_values[j]), float(self.prd[i, j]))
 
 
+def _scan_depth(levels) -> int:
+    # A plane scan compresses every node at one fixed depth, so neither
+    # "auto" nor a fractional depth is accepted.
+    if isinstance(levels, str) or int(levels) != levels:
+        raise ValueError(f"a plane scan needs an integer depth, got {levels!r}")
+    return int(levels)
+
+
 def prd_surface(x, grid: GridSpec, cr: float = 3.0, levels: int = 6) -> PrdSurface:
     """Evaluate the compression PRD at every plane point of a grid."""
     signal = x if isinstance(x, Signal) else Signal(x)
-    cr, levels = float(cr), int(levels)
+    cr, levels = float(cr), _scan_depth(levels)
     a_values, b_values = grid.a_values, grid.b_values
     values = [
         [
@@ -209,8 +217,7 @@ def match_cohort(
     enters the cohort aggregate.
     """
     CompressionConfig(cr=cr, levels=levels)  # rejects a bad ratio or depth before any trace
-    if isinstance(levels, str):
-        raise ValueError(f"a plane scan needs an integer depth, got {levels!r}")
+    levels = _scan_depth(levels)
     traces = cohort.apply(
         lambda signal: _scan_trace(signal, grid, cr, levels, refine).argmin, [state], channels
     )
@@ -218,7 +225,7 @@ def match_cohort(
         PlaneMinimum(subject=subject, channel=int(ch), a=a, b=b, prd_percent=value)
         for subject, _, ch, (a, b, value) in traces
     ]
-    return MatchResult(minima=tuple(minima), cr=float(cr), levels=int(levels))
+    return MatchResult(minima=tuple(minima), cr=float(cr), levels=levels)
 
 
 def surface_to_csv(surface: PrdSurface, path) -> Path:

@@ -242,56 +242,59 @@ def resolve_wavelet(spec) -> FilterPair:
     return pollen_filter(float(a), float(b))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DwtCoefficients:
-    """Subband coefficients of a pyramid decomposition.
+    """Coefficients of a pyramid decomposition as one flat vector.
 
-    ``details[j]`` is the detail vector of level ``j + 1`` (finest first);
-    ``approximation`` is the coarsest low-pass band.  ``input_lengths``
-    records the signal length entering each level so the inverse can drop
-    the padding added at odd-length levels.
+    ``flat`` holds the coarsest approximation, then the details coarse to
+    fine; keep-M thresholding ranks it as is.  ``input_lengths`` records
+    the signal length entering each level (finest first): it fixes every
+    band size and lets the inverse drop the padding added at odd-length
+    levels.  Construction checks that the lengths chain and fit ``flat``.
     """
 
-    details: list
-    approximation: np.ndarray
+    flat: np.ndarray
     input_lengths: tuple
     sample_period_s: float
 
+    def __post_init__(self):
+        size = None  # band size of the level checked last
+        total = 0
+        for n in self.input_lengths:
+            if n < 1 or (size is not None and n != size):
+                raise ValueError(f"recorded level lengths {self.input_lengths} do not chain")
+            size = (n + 1) // 2
+            total += size
+        if size is None:
+            raise ValueError("a decomposition needs at least one level")
+        if self.flat.ndim != 1 or self.flat.size != total + size:
+            raise ValueError(
+                f"flat vector has shape {self.flat.shape}, expected ({total + size},) "
+                f"for input lengths {self.input_lengths}"
+            )
+
     @property
     def levels(self) -> int:
-        return len(self.details)
+        return len(self.input_lengths)
 
     @property
     def total_count(self) -> int:
-        return self.approximation.size + sum(d.size for d in self.details)
+        return self.flat.size
 
     def band_lengths(self) -> list:
         """Detail lengths fine-to-coarse, then the approximation length."""
-        return [d.size for d in self.details] + [self.approximation.size]
+        sizes = [(n + 1) // 2 for n in self.input_lengths]
+        return sizes + sizes[-1:]
 
-    def to_flat(self) -> np.ndarray:
-        """Flatten coarse-to-fine: ``a_J0``, then ``d_J0`` ... ``d_1``."""
-        return np.concatenate([self.approximation] + self.details[::-1])
+    @property
+    def approximation(self) -> np.ndarray:
+        """The coarsest low-pass band, a view of ``flat``."""
+        return self.flat[: self.band_lengths()[-1]]
 
-    def with_flat(self, flat: np.ndarray) -> "DwtCoefficients":
-        """Rebuild a coefficient set from a vector in :meth:`to_flat` order."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.ndim != 1 or flat.size != self.total_count:
-            raise ValueError(
-                f"flat vector has {flat.size} entries, expected {self.total_count}"
-            )
-        approximation = flat[: self.approximation.size].copy()
-        details = []
-        pos = self.approximation.size
-        for d in self.details[::-1]:
-            details.append(flat[pos : pos + d.size].copy())
-            pos += d.size
-        return DwtCoefficients(
-            details=details[::-1],
-            approximation=approximation,
-            input_lengths=self.input_lengths,
-            sample_period_s=self.sample_period_s,
-        )
+    @property
+    def details(self) -> list:
+        """The detail bands, finest first, as views of ``flat``."""
+        return np.split(self.flat, np.cumsum(self.band_lengths()[::-1])[:-1])[:0:-1]
 
 
 def _analysis_step(v: np.ndarray, h: np.ndarray, g: np.ndarray):
@@ -382,9 +385,9 @@ def dwt_forward(x, filters: FilterPair, levels: int) -> DwtCoefficients:
     """
     signal = x if isinstance(x, Signal) else Signal(x)
     samples = signal.samples
+    if isinstance(levels, str) or int(levels) != levels or levels < 1:
+        raise ValueError(f"decomposition depth must be a positive integer, got {levels!r}")
     levels = int(levels)
-    if levels < 1:
-        raise ValueError("decomposition depth must be at least 1")
     if 2 ** levels > samples.size:
         raise ValueError(
             f"depth {levels} too deep for a {samples.size}-sample signal"
@@ -397,28 +400,10 @@ def dwt_forward(x, filters: FilterPair, levels: int) -> DwtCoefficients:
         v, d = _analysis_step(v, filters.h, filters.g)
         details.append(d)
     return DwtCoefficients(
-        details=details,
-        approximation=v,
+        flat=np.concatenate([v] + details[::-1]),
         input_lengths=tuple(lengths),
         sample_period_s=signal.sample_period_s,
     )
-
-
-def _check_bookkeeping(coeffs: DwtCoefficients):
-    if coeffs.levels < 1 or len(coeffs.input_lengths) != coeffs.levels:
-        raise ValueError("coefficient bookkeeping is inconsistent")
-    for level, d in enumerate(coeffs.details):
-        n_in = coeffs.input_lengths[level]
-        expected = (n_in + 1) // 2
-        if n_in < 1 or d.size != expected:
-            raise ValueError(
-                f"level {level + 1} detail length {d.size} does not match "
-                f"recorded input length {n_in}"
-            )
-        if level + 1 < coeffs.levels and coeffs.input_lengths[level + 1] != expected:
-            raise ValueError("recorded level lengths do not chain")
-    if coeffs.approximation.size != coeffs.details[-1].size:
-        raise ValueError("approximation length does not match the coarsest detail")
 
 
 def dwt_inverse(coeffs: DwtCoefficients, filters: FilterPair) -> Signal:
@@ -427,21 +412,20 @@ def dwt_inverse(coeffs: DwtCoefficients, filters: FilterPair) -> Signal:
     With untouched coefficients the reconstruction matches the original
     signal sample for sample (perfect reconstruction).
     """
-    _check_bookkeeping(coeffs)
-    v = _inverse_rows(coeffs.to_flat(), coeffs, filters, None)
+    v = _inverse_rows(coeffs.flat, coeffs.input_lengths, filters, None)
     return Signal(v, sample_period_s=coeffs.sample_period_s)
 
 
-def _inverse_rows(rows: np.ndarray, layout: DwtCoefficients, filters: FilterPair, work) -> np.ndarray:
-    # Rebuild every row of ``rows`` (shape (..., total), each in
-    # DwtCoefficients.to_flat order with the band sizes of ``layout``) in
-    # one pass of the pyramid; each row comes out bit for bit as alone.
-    # With a workspace ``work`` the result is a view of one of its buffers.
-    pos = layout.approximation.size
+def _inverse_rows(rows: np.ndarray, input_lengths: tuple, filters: FilterPair, work) -> np.ndarray:
+    # Rebuild every row of ``rows`` (shape (..., total), each laid out as
+    # DwtCoefficients.flat for these ``input_lengths``) in one pass of the
+    # pyramid; each row comes out bit for bit as alone.  With a workspace
+    # ``work`` the result is a view of one of its buffers.
+    pos = (input_lengths[-1] + 1) // 2
     v = rows[..., :pos]
-    for band, n_true in zip(layout.details[::-1], layout.input_lengths[::-1]):
-        detail = rows[..., pos : pos + band.size]
-        pos += band.size
+    for n_true in input_lengths[::-1]:
+        detail = rows[..., pos : pos + (n_true + 1) // 2]
+        pos += (n_true + 1) // 2
         v = _synthesis_step(v, detail, filters.h, filters.g, n_true, work)
     return v
 

@@ -4,6 +4,7 @@ import inspect
 import pytest
 
 from eggwave import (
+    DwtCoefficients,
     Manifest,
     lilliefors,
     paired_t,
@@ -32,6 +33,14 @@ def test_fixed_values_are_not_parameters(function, removed):
 
 def test_manifest_has_no_root():
     assert [f.name for f in dataclasses.fields(Manifest)] == ["entries", "seed"]
+
+
+def test_coefficients_hold_one_flat_vector():
+    fields = [f.name for f in dataclasses.fields(DwtCoefficients)]
+    assert fields == ["flat", "input_lengths", "sample_period_s"]
+    assert DwtCoefficients.__dataclass_params__.frozen
+    assert not hasattr(DwtCoefficients, "to_flat")
+    assert not hasattr(DwtCoefficients, "with_flat")
 
 
 def test_outcome_reports_only():

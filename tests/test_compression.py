@@ -27,24 +27,10 @@ from eggwave.wavelets import (
 )
 
 
-def coeffs_from_flat(flat, approx_size, detail_sizes):
-    """Build a coefficient set whose to_flat() equals `flat`.
-
-    `detail_sizes` are given coarse-to-fine, matching the flat layout.
-    """
-    flat = np.asarray(flat, dtype=float)
-    approximation = flat[:approx_size].copy()
-    details = []
-    pos = approx_size
-    for size in detail_sizes:
-        details.append(flat[pos : pos + size].copy())
-        pos += size
-    assert pos == flat.size
+def coeffs_from_flat(flat, input_lengths):
+    """Build a coefficient set with this flat vector and pyramid layout."""
     return DwtCoefficients(
-        details=details[::-1],
-        approximation=approximation,
-        input_lengths=tuple([flat.size] * len(detail_sizes)),
-        sample_period_s=0.1,
+        flat=np.asarray(flat, dtype=float), input_lengths=input_lengths, sample_period_s=0.1
     )
 
 
@@ -53,25 +39,25 @@ class TestKeepLargest:
         x = np.random.default_rng(0).standard_normal(512)
         coeffs = dwt_forward(x, named_wavelet("daubechies-2"), 4)
         kept = keep_largest(coeffs, coeffs.total_count)
-        assert np.array_equal(kept.to_flat(), coeffs.to_flat())
+        assert np.array_equal(kept.flat, coeffs.flat)
 
     def test_largest_two_survive(self):
-        coeffs = coeffs_from_flat([3.0, -5.0, 1.0, 2.0], 1, [1, 2])
+        coeffs = coeffs_from_flat([3.0, -5.0, 1.0, 2.0], (4, 2))
         kept = keep_largest(coeffs, 2)
-        assert np.array_equal(kept.to_flat(), [3.0, -5.0, 0.0, 0.0])
+        assert np.array_equal(kept.flat, [3.0, -5.0, 0.0, 0.0])
 
     def test_tie_breaks_to_smaller_flat_index(self):
-        coeffs = coeffs_from_flat([2.0, -2.0, 2.0], 1, [2])
-        assert np.array_equal(keep_largest(coeffs, 1).to_flat(), [2.0, 0.0, 0.0])
-        assert np.array_equal(keep_largest(coeffs, 2).to_flat(), [2.0, -2.0, 0.0])
+        coeffs = coeffs_from_flat([2.0, -2.0, 2.0], (2, 1))
+        assert np.array_equal(keep_largest(coeffs, 1).flat, [2.0, 0.0, 0.0])
+        assert np.array_equal(keep_largest(coeffs, 2).flat, [2.0, -2.0, 0.0])
 
     def test_keep_sets_nested(self):
         rng = np.random.default_rng(5)
         flat = rng.integers(-4, 5, size=64).astype(float)  # many ties
-        coeffs = coeffs_from_flat(flat, 8, [8, 16, 32])
+        coeffs = coeffs_from_flat(flat, (64, 32, 16))
         previous = None
         for keep in range(1, 65):
-            mask = keep_largest(coeffs, keep).to_flat() != 0.0
+            mask = keep_largest(coeffs, keep).flat != 0.0
             held = set(np.flatnonzero(mask))
             assert len(held) <= keep
             if previous is not None:
@@ -79,7 +65,7 @@ class TestKeepLargest:
             previous = held
 
     def test_out_of_range_rejected(self):
-        coeffs = coeffs_from_flat([1.0, 2.0], 1, [1])
+        coeffs = coeffs_from_flat([1.0, 2.0], (2,))
         with pytest.raises(ValueError):
             keep_largest(coeffs, 0)
         with pytest.raises(ValueError):
@@ -281,7 +267,7 @@ class TestCompressionProperties:
             x = rng.standard_normal(4096)
             result = compress(x, CompressionConfig(cr=cr, levels=7))
             coeffs = dwt_forward(x, named_wavelet("daubechies-3"), 7)
-            flat = coeffs.to_flat()
+            flat = coeffs.flat
             discarded = np.ones(flat.size, dtype=bool)
             discarded[result.kept_indices] = False
             discarded_energy = float(np.dot(flat[discarded], flat[discarded]))

@@ -413,6 +413,22 @@ class TestCohortSignals:
         with pytest.raises(ValueError, match="no recording for"):
             list(make_cohort().signals(states=["moderate"]))
 
+    def test_mixed_channel_ids_rejected(self):
+        # Per-channel tables are keyed by the first recording's ids, so a
+        # recording with other ids would surface later as a bare KeyError.
+        recordings = {
+            (subject, state): make_recording(subject, state, channels=(7, 8))
+            for subject in ("dog00", "dog01")
+            for state in ("basal", "mild")
+        }
+        recordings[("dog01", "mild")] = make_recording("dog01", "mild", channels=(7, 9))
+        message = (
+            r"^recording \(dog01, mild\) has channel ids \(7, 9\), "
+            r"but \(dog00, basal\) has \(7, 8\)$"
+        )
+        with pytest.raises(ValueError, match=message):
+            Cohort(recordings)
+
 
 class TestCohortApply:
     @pytest.mark.parametrize("states,channels", [

@@ -82,6 +82,11 @@ class TestPrdSurface:
         )
         assert np.max(surface.prd) < 1e-8
 
+    @pytest.mark.parametrize("levels, shown", [(2.5, "2.5"), ("auto", "'auto'")])
+    def test_depth_must_be_an_integer(self, levels, shown):
+        with pytest.raises(ValueError, match=rf"^a plane scan needs an integer depth, got {shown}$"):
+            prd_surface(np.ones(64), GridSpec(resolution=8), levels=levels)
+
     def test_deterministic(self):
         x = np.random.default_rng(2).standard_normal(512)
         grid = GridSpec(resolution=8)

@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eggwave.wavelets import (
@@ -206,6 +207,12 @@ class TestForwardTransform:
         assert coeffs.band_lengths() == [3000, 1500, 750, 375, 188, 94, 47, 47]
         assert coeffs.total_count == 6001
 
+    @pytest.mark.parametrize("levels", [2.5, 0, -1, "2"])
+    def test_depth_must_be_a_positive_integer(self, levels):
+        message = rf"^decomposition depth must be a positive integer, got {levels!r}$"
+        with pytest.raises(ValueError, match=message.replace(".", r"\.")):
+            dwt_forward(np.ones(64), named_wavelet("haar"), levels)
+
     def test_depth_too_deep_rejected(self):
         with pytest.raises(ValueError, match="too deep"):
             dwt_forward(np.ones(100), named_wavelet("haar"), 7)
@@ -219,7 +226,7 @@ class TestForwardTransform:
         first = dwt_forward(x, named_wavelet("coiflet-1"), 4)
         second = dwt_forward(x, named_wavelet("coiflet-1"), 4)
         assert np.array_equal(x, snapshot)
-        assert np.array_equal(first.to_flat(), second.to_flat())
+        assert np.array_equal(first.flat, second.flat)
 
 
 class TestInverseTransform:
@@ -246,7 +253,7 @@ class TestInverseTransform:
         x = np.random.default_rng(1).standard_normal(300)
         f = named_wavelet("daubechies-3")
         coeffs = dwt_forward(x, f, 5)
-        zeroed = coeffs.with_flat(np.zeros(coeffs.total_count))
+        zeroed = replace(coeffs, flat=np.zeros(coeffs.total_count))
         assert np.array_equal(dwt_inverse(zeroed, f).samples, np.zeros(300))
 
     def test_constant_recovered_from_approximation_only(self):
@@ -261,14 +268,12 @@ class TestInverseTransform:
     def test_inconsistent_bookkeeping_rejected(self):
         f = named_wavelet("haar")
         coeffs = dwt_forward(np.arange(64.0), f, 3)
-        broken = DwtCoefficients(
-            details=coeffs.details,
-            approximation=coeffs.approximation,
-            input_lengths=(64, 32, 17),
-            sample_period_s=coeffs.sample_period_s,
-        )
         with pytest.raises(ValueError):
-            dwt_inverse(broken, f)
+            DwtCoefficients(
+                flat=coeffs.flat,
+                input_lengths=(64, 32, 17),
+                sample_period_s=coeffs.sample_period_s,
+            )
 
     def test_sample_period_carried_through(self):
         x = Signal(np.arange(16.0), sample_period_s=0.25)
@@ -336,8 +341,8 @@ class TestKernelOracle:
             assert np.array_equal(d, want)
         assert np.array_equal(coeffs.approximation, v)
         # Thresholded coefficients exercise the inverse off the identity.
-        sparse = coeffs.with_flat(
-            np.where(np.arange(coeffs.total_count) % 3 == 0, coeffs.to_flat(), 0.0)
+        sparse = replace(
+            coeffs, flat=np.where(np.arange(coeffs.total_count) % 3 == 0, coeffs.flat, 0.0)
         )
         for c in (coeffs, sparse):
             assert np.array_equal(dwt_inverse(c, filters).samples, reference_inverse(c, filters))
@@ -396,13 +401,59 @@ class TestKernelOracle:
         rng = np.random.default_rng(seed)
         coeffs = dwt_forward(rng.standard_normal(n), f, levels)
         keep = rng.random((k, coeffs.total_count)) < rng.random((k, 1))
-        rows = np.where(keep, coeffs.to_flat(), 0.0)
-        stacked = _inverse_rows(rows, coeffs, f, {})
+        rows = np.where(keep, coeffs.flat, 0.0)
+        stacked = _inverse_rows(rows, coeffs.input_lengths, f, {})
         assert stacked.shape == (k, n)
         for i in range(k):
-            row = coeffs.with_flat(rows[i])
+            row = replace(coeffs, flat=rows[i])
             assert np.array_equal(stacked[i], dwt_inverse(row, f).samples)
             assert np.array_equal(stacked[i], reference_inverse(row, f))
+
+
+class TestCoefficientLayout:
+    """``flat`` and ``input_lengths`` fix every band; nothing else can disagree."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=lengths_and_depths(), seed=st.integers(0, 2**32 - 1))
+    def test_bands_tile_the_flat_vector(self, case, seed):
+        n, levels = case
+        x = np.random.default_rng(seed).standard_normal(n)
+        coeffs = dwt_forward(x, named_wavelet("daubechies-3"), levels)
+        assert coeffs.levels == levels
+        bands = [coeffs.approximation] + coeffs.details[::-1]
+        assert np.concatenate(bands).tobytes() == coeffs.flat.tobytes()
+        assert [d.size for d in coeffs.details] + [coeffs.approximation.size] == coeffs.band_lengths()
+        assert all(np.shares_memory(band, coeffs.flat) for band in bands)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=lengths_and_depths(), data=st.data())
+    def test_any_other_layout_is_rejected(self, case, data):
+        n, levels = case
+        coeffs = dwt_forward(np.arange(float(n)), named_wavelet("haar"), levels)
+        flat, lengths = coeffs.flat, list(coeffs.input_lengths)
+        coarsest = coeffs.approximation.size
+        kind = data.draw(st.sampled_from(["entry", "add", "drop", "size"]))
+        if kind == "entry":
+            i = data.draw(st.integers(0, levels - 1))
+            lengths[i] += data.draw(st.integers(-3, 3).filter(bool))
+            # An odd length and the even length above it give the same bands.
+            assume(i > 0 or (lengths[0] + 1) // 2 != (n + 1) // 2)
+        elif kind == "add" and data.draw(st.booleans()):
+            lengths.insert(0, 2 * n - data.draw(st.integers(0, 1)))
+        elif kind == "add":
+            # Splitting an even approximation in two keeps the same entries.
+            assume(coarsest % 2)
+            lengths.append(coarsest)
+        elif kind == "drop" and data.draw(st.booleans()):
+            del lengths[0]
+        elif kind == "drop":
+            # Merging the coarsest pair keeps the entries when its input is even.
+            assume(levels == 1 or lengths[-1] % 2)
+            del lengths[-1]
+        else:
+            flat = np.zeros(flat.size + data.draw(st.sampled_from([-1, 1])))
+        with pytest.raises(ValueError):
+            DwtCoefficients(flat=flat, input_lengths=tuple(lengths), sample_period_s=0.1)
 
 
 class TestTransformProperties:
