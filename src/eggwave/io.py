@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,7 +50,9 @@ class RecordingFile:
     samples: np.ndarray  # shape (n_samples, n_channels)
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        # A contiguous copy of a column view (as the reader passes) keeps
+        # only the channel columns alive, not the parsed ``time_s`` column.
+        samples = np.ascontiguousarray(self.samples, dtype=np.float64)
         if samples.ndim != 2 or samples.size == 0:
             raise ValueError("samples must form a non-empty 2-D matrix")
         if not np.all(np.isfinite(samples)):
@@ -344,24 +347,30 @@ def read_manifest(path) -> Manifest:
     return Manifest(entries=tuple(entries), seed=seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cohort:
-    """In-memory dataset: recordings keyed by (subject, state), all with one set of channel ids."""
+    """In-memory dataset: recordings keyed by (subject, state), all with one set of channel ids.
 
-    recordings: dict
+    ``recordings`` is a read-only view of a private copy of the mapping
+    given, so the channel-id check made here holds for the cohort's life.
+    """
+
+    recordings: MappingProxyType
     seed: object = None
 
     def __post_init__(self):
-        if not self.recordings:
+        recordings = dict(self.recordings)
+        if not recordings:
             raise ValueError("cohort holds no recordings")
         # Every per-channel table is keyed by the first recording's ids.
-        ((first_subject, first_state), first), *rest = self.recordings.items()
+        ((first_subject, first_state), first), *rest = recordings.items()
         for (subject, state), rec in rest:
             if rec.channel_ids != first.channel_ids:
                 raise ValueError(
                     f"recording ({subject}, {state}) has channel ids {rec.channel_ids}, "
                     f"but ({first_subject}, {first_state}) has {first.channel_ids}"
                 )
+        object.__setattr__(self, "recordings", MappingProxyType(recordings))
 
     @property
     def subjects(self) -> list:

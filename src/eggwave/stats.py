@@ -222,12 +222,12 @@ _KS_BLOCK_VALUES = 1 << 13
 def _lilliefors_null_table(n: int) -> np.ndarray:
     rng = np.random.default_rng((LILLIEFORS_MC_SEED, n))
     rows = max(1, _KS_BLOCK_VALUES // n)
-    distances = []
+    table = np.empty(LILLIEFORS_MC_DRAWS)
     for start in range(0, LILLIEFORS_MC_DRAWS, rows):
         draws = rng.standard_normal((min(rows, LILLIEFORS_MC_DRAWS - start), n))
         z = (draws - draws.mean(axis=1, keepdims=True)) / draws.std(axis=1, ddof=1, keepdims=True)
-        distances.append(_ks_distance(z))
-    table = np.sort(np.concatenate(distances))
+        table[start : start + rows] = _ks_distance(z)
+    table.sort()
     table.flags.writeable = False
     return table
 

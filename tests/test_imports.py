@@ -34,3 +34,13 @@ def test_import_loads_no_scipy(statement):
     loaded = modules_after(statement)
     assert "eggwave" in loaded
     assert sorted(name for name in loaded if name.startswith("scipy")) == []
+
+
+@pytest.mark.parametrize("statement", ["import eggwave", "import eggwave.cli"])
+def test_import_loads_no_numpy_random_or_hashlib(statement):
+    # numpy.random costs ~6 MB and ~14 ms, hashlib's OpenSSL 3.6 MB of that;
+    # only the commands that draw numbers should pay for them.
+    loaded = modules_after(statement)
+    assert "eggwave" in loaded
+    assert sorted(name for name in loaded if name.startswith("numpy.random")) == []
+    assert "hashlib" not in loaded

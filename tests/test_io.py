@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from eggwave.io import (
     write_manifest,
     write_recording,
 )
+from eggwave.simulate import CohortSpec, simulate_cohort
+from eggwave.stats import state_prds
 
 
 def make_recording(subject="dog00", state="basal", n=64, channels=(7, 8, 9), seed=0):
@@ -102,6 +105,17 @@ class TestRecordingRoundTrip:
         rec = RecordingFile("d", "basal", 10.0, (7, 8, 9), values)
         back = read_recording(write_recording(rec, tmp_path / "r.csv"))
         assert np.array_equal(back.samples, values)
+
+    def test_read_samples_own_only_the_channel_columns(self, tmp_path):
+        # The reader parses time_s with the channels; a view of that matrix
+        # would keep the time column alive as long as the recording.
+        samples = read_recording(write_recording(make_recording(), tmp_path / "r.csv")).samples
+        assert samples.flags.c_contiguous
+        assert samples.flags.owndata
+
+    def test_contiguous_samples_are_not_copied(self):
+        samples = np.zeros((8, 2))
+        assert RecordingFile("d", "basal", 10.0, (7, 8), samples).samples is samples
 
     def test_duration_header(self, tmp_path):
         rec = make_recording(n=6000, channels=tuple(range(7, 15)))
@@ -363,8 +377,7 @@ class TestManifest:
             load_cohort(manifest_path)
 
     def test_seedless_manifest(self, tmp_path):
-        cohort = make_cohort()
-        cohort.seed = None
+        cohort = make_cohort(seed=None)
         manifest_path = write_cohort(cohort, tmp_path)
         assert read_manifest(manifest_path).seed is None
 
@@ -428,6 +441,31 @@ class TestCohortSignals:
         )
         with pytest.raises(ValueError, match=message):
             Cohort(recordings)
+
+
+class TestCohortIsReadOnly:
+    def test_swapping_a_recording_in_is_rejected(self):
+        # The channel-id check runs at construction; a recording swapped in
+        # later would surface in state_prds as a bare KeyError: 99.
+        cohort = simulate_cohort(CohortSpec(subjects=3, channels=2, duration_s=30.0, seed=2))
+        victim = cohort.get("dog01", "basal")
+        intruder = RecordingFile(
+            victim.subject, victim.state, victim.sample_rate_hz, (7, 99), victim.samples
+        )
+        with pytest.raises(TypeError):
+            cohort.recordings[("dog01", "basal")] = intruder
+        with pytest.raises(FrozenInstanceError):
+            cohort.recordings = {("dog01", "basal"): intruder}
+        assert cohort.get("dog01", "basal") is victim
+        assert set(state_prds(cohort, "basal")) == set(cohort.channel_ids)
+
+    def test_holds_its_own_copy_of_the_mapping(self):
+        recordings = dict(make_cohort().recordings)
+        cohort = Cohort(recordings)
+        victim = recordings[("dog01", "mild")]
+        recordings[("dog01", "mild")] = make_recording("dog01", "mild", channels=(7, 9, 99))
+        assert cohort.get("dog01", "mild") is victim
+        assert dict(cohort.recordings) == {**recordings, ("dog01", "mild"): victim}
 
 
 class TestCohortApply:
