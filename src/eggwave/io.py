@@ -39,7 +39,8 @@ STATES = ("basal", "mild", "severe")
 _SAMPLE_FORMAT = "%.17g"
 
 
-@dataclass
+# Frozen, so the channel-id check a Cohort makes holds for the cohort's life.
+@dataclass(frozen=True)
 class RecordingFile:
     """One multichannel recording: header metadata plus a time-by-channel matrix."""
 
@@ -76,8 +77,8 @@ class RecordingFile:
             )
         if not self.subject or not self.state:
             raise ValueError("subject and state must be non-empty")
-        self.samples = samples
-        self.channel_ids = ids
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "channel_ids", ids)
 
     @property
     def n_samples(self) -> int:
@@ -391,12 +392,14 @@ class Cohort:
         except KeyError:
             raise ValueError(f"cohort has no recording for ({subject}, {state})") from None
 
-    def signals(self, states=None, channels=None):
-        """Yield ``(subject, state, channel, Signal)`` for every trace.
+    def apply(self, fn, states=None, channels=None):
+        """Yield ``(subject, state, channel, fn(signal))`` for every trace.
 
         Order is subject (sorted), then state (``states`` as given, default
         :attr:`states`), then channel (``channels`` as given, default each
-        recording's own ids).  An unknown channel id raises ``ValueError``.
+        recording's own ids).  An unknown state or channel id raises
+        ``ValueError``; a ``ValueError`` from ``fn`` is re-raised as
+        ``"subject S, state T, channel C: ..."``.
         """
         states = self.states if states is None else list(states)
         channels = None if channels is None else list(channels)
@@ -404,17 +407,14 @@ class Cohort:
             for state in states:
                 rec = self.get(subject, state)
                 for ch in rec.channel_ids if channels is None else channels:
-                    yield subject, state, ch, rec.signal(ch)
-
-    def apply(self, fn, states=None, channels=None):
-        """Yield ``(subject, state, channel, fn(signal))`` in :meth:`signals` order,
-        re-raising a ``ValueError`` from ``fn`` as ``"subject S, state T, channel C: ..."``."""
-        for subject, state, ch, signal in self.signals(states, channels):
-            try:
-                value = fn(signal)
-            except ValueError as error:
-                raise ValueError(f"subject {subject}, state {state}, channel {ch}: {error}") from error
-            yield subject, state, ch, value
+                    signal = rec.signal(ch)
+                    try:
+                        value = fn(signal)
+                    except ValueError as error:
+                        raise ValueError(
+                            f"subject {subject}, state {state}, channel {ch}: {error}"
+                        ) from error
+                    yield subject, state, ch, value
 
 
 def write_cohort(cohort: Cohort, out_dir) -> Path:

@@ -86,6 +86,8 @@ class CohortSpec:
         if not (self.duration_s > 0 and self.sample_rate_hz > 0):
             raise ValueError("duration and sample rate must be positive")
         n = self.duration_s * self.sample_rate_hz
+        if not math.isfinite(n):
+            raise ValueError(f"duration times sample rate must be a finite sample count, got {n!r}")
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise ValueError("duration times sample rate must be a whole sample count")
 
@@ -212,11 +214,9 @@ def simulate_recording(spec: CohortSpec, model: StateModel, subject: int) -> Rec
     ):
         wave = amp * _generator_waveform(t, freq, phases)
         samples += wave[:, None] * model.mixing[:, g][None, :]
-    if model.noise_level > 0:
-        state_idx = _state_index(model.state)
-        for ch in range(spec.channels):
-            rng = np.random.default_rng((spec.seed, subject, state_idx, ch))
-            samples[:, ch] += model.noise_level * rng.standard_normal(n)
+    for ch in range(spec.channels):
+        rng = np.random.default_rng((spec.seed, subject, _state_index(model.state), ch))
+        samples[:, ch] += model.noise_level * rng.standard_normal(n)
     return RecordingFile(
         subject=spec.subject_id(subject),
         state=model.state,

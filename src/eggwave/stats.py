@@ -478,25 +478,30 @@ def _prd_table(cohort: Cohort, states, config: CompressionConfig, crs) -> dict:
     return {key: {ch: np.asarray(v) for ch, v in prds.items()} for key, prds in table.items()}
 
 
-def _check_subjects(cohort: Cohort) -> None:
+def _battery(cohort: Cohort, crs, pairs, wavelet, levels, alpha: float) -> dict:
+    # {(cr, state_a, state_b): comparison rows over sorted channels}.  Every
+    # setting, then the cohort's size, is checked before any signal is
+    # compressed; a failing channel is named with its pair.
+    configs = [CompressionConfig(wavelet=wavelet, cr=cr, levels=levels) for cr in crs]
+    _check_level(alpha)
     count = len(cohort.subjects)
     if count < LILLIEFORS_MIN_VALUES:
         raise ValueError(
             f"paired comparisons need at least {LILLIEFORS_MIN_VALUES} subjects, "
             f"the cohort has {count}"
         )
-
-
-def _compare_channels(table: dict, cr: float, state_a: str, state_b: str, alpha: float) -> list:
-    # One comparison row per channel; a failing channel is named with its pair.
-    prds_a, prds_b = table[(cr, state_a)], table[(cr, state_b)]
-    rows = []
-    for ch in sorted(prds_a):
-        try:
-            rows.append(compare_paired(prds_a[ch], prds_b[ch], ch, alpha))
-        except ValueError as error:
-            raise ValueError(f"channel {ch}, {state_a}:{state_b}: {error}") from error
-    return rows
+    table = _prd_table(cohort, [state for pair in pairs for state in pair], configs[0], crs)
+    battery = {}
+    for cr in crs:
+        for state_a, state_b in pairs:
+            prds_a, prds_b = table[(cr, state_a)], table[(cr, state_b)]
+            rows = battery[(cr, state_a, state_b)] = []
+            for ch in sorted(prds_a):
+                try:
+                    rows.append(compare_paired(prds_a[ch], prds_b[ch], ch, alpha))
+                except ValueError as error:
+                    raise ValueError(f"channel {ch}, {state_a}:{state_b}: {error}") from error
+    return battery
 
 
 def state_prds(
@@ -530,11 +535,8 @@ def compare_states(
     compressed.  A channel that cannot be compared raises ``ValueError``
     naming the channel and the pair (``"channel C, A:B: ..."``).
     """
-    _check_level(alpha)
-    config = CompressionConfig(wavelet=wavelet, cr=cr, levels=levels)
-    _check_subjects(cohort)
-    table = _prd_table(cohort, [state_a, state_b], config, [cr])
-    return _compare_channels(table, cr, state_a, state_b, alpha)
+    battery = _battery(cohort, [cr], [(state_a, state_b)], wavelet, levels, alpha)
+    return battery[(cr, state_a, state_b)]
 
 
 def cr_sweep(
@@ -560,15 +562,11 @@ def cr_sweep(
     crs = [float(c) for c in crs]
     if not crs:
         raise ValueError("sweep needs at least one compression ratio")
-    # Building each config rejects a bad ratio before any signal is read.
-    configs = [CompressionConfig(wavelet=wavelet, cr=cr, levels=levels) for cr in crs]
-    _check_level(alpha)
-    _check_subjects(cohort)
-    table = _prd_table(cohort, [state for pair in pairs for state in pair], configs[0], crs)
+    battery = _battery(cohort, crs, pairs, wavelet, levels, alpha)
     points = []
     for cr in crs:
         for state_a, state_b in pairs:
-            rows = _compare_channels(table, cr, state_a, state_b, alpha)
+            rows = battery[(cr, state_a, state_b)]
             points.append(
                 SweepPoint(
                     cr=cr,

@@ -4,6 +4,7 @@ import inspect
 import pytest
 
 from eggwave import (
+    Cohort,
     DwtCoefficients,
     Manifest,
     lilliefors,
@@ -29,6 +30,11 @@ def test_fixed_values_are_not_parameters(function, removed):
     # The battery applies the significance level, the refine sub-grid is
     # REFINE_RESOLUTION wide and every simulated state uses NOISE_SIGMA.
     assert removed not in inspect.signature(function).parameters
+
+
+def test_cohort_has_one_walk():
+    # Cohort.apply is the only way to iterate a cohort's signals.
+    assert not hasattr(Cohort, "signals")
 
 
 def test_manifest_has_no_root():

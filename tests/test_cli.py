@@ -45,6 +45,17 @@ class TestSimulate:
         assert "Error:" in result.output
 
 
+    @pytest.mark.parametrize("args", [
+        ["--duration", "inf"],
+        ["--rate", "1e300", "--duration", "1e10"],
+    ])
+    def test_non_finite_sample_count_is_data_error(self, tmp_path, args):
+        result = run("simulate", "--out", tmp_path / "x", *args)
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: duration times sample rate must be a finite")
+        assert "Traceback" not in result.output
+
+
 class TestCompress:
     def test_cr_one_is_lossless_everywhere(self, dataset):
         result = run("compress", "--data", dataset, "--cr", "1")

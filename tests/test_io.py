@@ -391,11 +391,15 @@ class TestManifest:
             read_manifest(manifest_path)
 
 
+def identity(signal):
+    return signal
+
+
 class TestCohortSignals:
     def test_order_is_subject_state_channel(self):
         cohort = make_cohort()
         keys = []
-        for subject, state, ch, signal in cohort.signals():
+        for subject, state, ch, signal in cohort.apply(identity):
             keys.append((subject, state, ch))
             assert np.array_equal(signal.samples, cohort.get(subject, state).channel(ch))
         assert keys == [
@@ -409,7 +413,9 @@ class TestCohortSignals:
         cohort = make_cohort()
         keys = [
             (subject, state, ch)
-            for subject, state, ch, _ in cohort.signals(states=["severe"], channels=[9, 7])
+            for subject, state, ch, _ in cohort.apply(
+                identity, states=["severe"], channels=[9, 7]
+            )
         ]
         assert keys == [
             ("dog00", "severe", 9),
@@ -419,12 +425,12 @@ class TestCohortSignals:
         ]
 
     def test_unknown_channel_rejected(self):
-        with pytest.raises(ValueError, match="no channel 99"):
-            list(make_cohort().signals(channels=[7, 99]))
+        with pytest.raises(ValueError, match=r"^recording has no channel 99"):
+            list(make_cohort().apply(identity, channels=[7, 99]))
 
     def test_missing_state_rejected(self):
-        with pytest.raises(ValueError, match="no recording for"):
-            list(make_cohort().signals(states=["moderate"]))
+        with pytest.raises(ValueError, match=r"^cohort has no recording for \(dog00, moderate\)$"):
+            list(make_cohort().apply(identity, states=["moderate"]))
 
     def test_mixed_channel_ids_rejected(self):
         # Per-channel tables are keyed by the first recording's ids, so a
@@ -459,6 +465,13 @@ class TestCohortIsReadOnly:
         assert cohort.get("dog01", "basal") is victim
         assert set(state_prds(cohort, "basal")) == set(cohort.channel_ids)
 
+    def test_a_recordings_channel_ids_cannot_change(self):
+        cohort = simulate_cohort(CohortSpec(subjects=3, channels=2, duration_s=30.0, seed=2))
+        with pytest.raises(FrozenInstanceError):
+            cohort.get("dog01", "basal").channel_ids = (7, 99)
+        assert cohort.get("dog01", "basal").channel_ids == (7, 8)
+        assert set(state_prds(cohort, "basal")) == set(cohort.channel_ids)
+
     def test_holds_its_own_copy_of_the_mapping(self):
         recordings = dict(make_cohort().recordings)
         cohort = Cohort(recordings)
@@ -478,8 +491,10 @@ class TestCohortApply:
         cohort = make_cohort()
         applied = list(cohort.apply(lambda signal: signal.samples.sum(), states, channels))
         expected = [
-            (subject, state, ch, signal.samples.sum())
-            for subject, state, ch, signal in cohort.signals(states, channels)
+            (subject, state, ch, cohort.get(subject, state).channel(ch).sum())
+            for subject in ("dog00", "dog01")
+            for state in states or ("basal", "mild", "severe")
+            for ch in channels or (7, 8, 9)
         ]
         assert applied == expected
 

@@ -40,6 +40,16 @@ class TestCohortSpec:
         with pytest.raises(ValueError, match="whole sample"):
             CohortSpec(duration_s=0.25, sample_rate_hz=10.0)
 
+    @pytest.mark.parametrize("duration_s, sample_rate_hz", [
+        (float("inf"), 10.0),
+        (1e10, 1e300),
+        (1e308, 10.0),
+    ])
+    def test_rejects_non_finite_sample_count(self, duration_s, sample_rate_hz):
+        message = r"^duration times sample rate must be a finite sample count, got inf$"
+        with pytest.raises(ValueError, match=message):
+            CohortSpec(duration_s=duration_s, sample_rate_hz=sample_rate_hz)
+
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
             CohortSpec(subjects=0)

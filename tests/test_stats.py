@@ -515,6 +515,13 @@ class TestSignificanceLevel:
         with pytest.raises(ValueError, match=message):
             cr_sweep(flat_cohort, [2.0, 3.0], alpha=alpha)
 
+    def test_a_bad_setting_is_reported_before_the_level(self, flat_cohort):
+        message = r"^compression ratio must be at least 1$"
+        with pytest.raises(ValueError, match=message):
+            compare_states(flat_cohort, "basal", "severe", cr=0.5, alpha=2.0)
+        with pytest.raises(ValueError, match=message):
+            cr_sweep(flat_cohort, [0.5], alpha=2.0)
+
 
 class TestDetectionRate:
     def make_rows(self, flags):
