@@ -13,7 +13,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .compression import CompressionConfig, compress
+from .compression import CompressionConfig, _blocks, _compress_ratios
 from .io import Cohort, load_cohort, read_recording, write_cohort
 from .matcher import (
     GridSpec,
@@ -110,7 +110,16 @@ def compress_command(data, wavelet, cr, depth, out):
     )
     cohort = load_cohort(data)
     lines = ["subject,state,channel,kept,total_coefficients,prd_percent"]
-    for subject, state, ch, result in cohort.apply(lambda signal: compress(signal, config)):
+    work = {}
+
+    def compress_recording(signals):
+        return [
+            result
+            for block in _blocks(signals, 1)
+            for (result,) in _compress_ratios(block, config, [config.cr], work)
+        ]
+
+    for subject, state, ch, result in cohort.apply(compress_recording):
         lines.append(
             f"{subject},{state},{ch},{result.kept},"
             f"{result.total_coefficients},{result.prd_percent:.6f}"
@@ -138,7 +147,8 @@ def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
     CompressionConfig(cr=cr, levels=depth)  # rejects a bad ratio or depth before any read
     rec = read_recording(recording)
     [(_, _, _, scan)] = Cohort({(rec.subject, rec.state): rec}).apply(
-        lambda signal: _scan_trace(signal, spec, cr, depth, refine), channels=[channel]
+        lambda signals: [_scan_trace(s, spec, cr, depth, refine) for s in signals],
+        channels=[channel],
     )
     a, b, value = scan.argmin
     if out_csv:

@@ -17,9 +17,9 @@ from .wavelets import (
     FilterPair,
     Signal,
     as_samples,
+    _forward_rows,
     _inverse_rows,
     _scratch,
-    dwt_forward,
     resolve_wavelet,
     select_scales,
 )
@@ -133,6 +133,22 @@ def prd(x, reconstruction) -> float:
     return float(np.sqrt(np.dot(diff, diff) / energy) * 100.0)
 
 
+#: Rows (signals x ratios) that one block of _compress_ratios rebuilds in
+#: one stacked inverse pass.  The synthesis workspace holds one buffer per
+#: role sized for the finest level, so ten rows take about as much memory
+#: as the five ratio rows of one signal took with a buffer set per level;
+#: the measured choices are listed in the ROADMAP.
+_BLOCK_ROWS = 10
+
+
+def _blocks(signals, ratios: int) -> list:
+    # One recording's signals, split into blocks for _compress_ratios at
+    # ``ratios`` ratios: as many signals as fit in _BLOCK_ROWS rows, at
+    # least one.
+    step = max(1, _BLOCK_ROWS // ratios)
+    return [signals[start : start + step] for start in range(0, len(signals), step)]
+
+
 def compress(x, config: CompressionConfig = CompressionConfig()) -> CompressionResult:
     """Compress a signal by keep-M thresholding in the wavelet domain.
 
@@ -146,39 +162,53 @@ def compress(x, config: CompressionConfig = CompressionConfig()) -> CompressionR
     # No workspace: one signal has nothing to reuse, and a fresh one would
     # free every level's buffers together at the end, which lets glibc
     # trim the heap top and fault those pages in again on the next call.
-    return _compress_ratios(signal, config, (config.cr,), None)[0]
+    return _compress_ratios((signal,), config, (config.cr,), None)[0][0]
 
 
-def _compress_ratios(signal: Signal, config: CompressionConfig, crs, work) -> list:
-    # compress at every ratio in ``crs`` (``config.cr`` is not used): the
-    # depth search and the forward transform do not depend on the ratio,
-    # so they run once, and all the reconstructions come out of one
-    # stacked inverse pass.  Each result equals compress at that ratio.
-    # The masked rows and the synthesis temporaries come from the
-    # workspace ``work`` (see wavelets._scratch), which a caller
-    # compressing many signals shares between calls; the results copy
-    # out of it.
-    levels = config.resolve_levels(signal.sample_period_s, len(signal))
-    coeffs = dwt_forward(signal, config.filters, levels)
-    total = coeffs.total_count
-    flat = coeffs.flat
+def _compress_ratios(signals, config: CompressionConfig, crs, work) -> list:
+    # compress every signal of ``signals`` (one block of a recording's
+    # channels: one length, one sample period) at every ratio in ``crs``
+    # (``config.cr`` is not used); returns one list of results per signal,
+    # one result per ratio, each equal to compress at that ratio.  The
+    # depth search and one forward pass serve the whole block, and one
+    # stacked inverse pass rebuilds all its masked rows.  The masked rows
+    # and the synthesis temporaries come from the workspace ``work`` (see
+    # wavelets._scratch), which a caller compressing many blocks shares
+    # between calls; the results copy out of it.
+    period = signals[0].sample_period_s
+    levels = config.resolve_levels(period, len(signals[0]))
+    # A lone signal stays 1-D: numpy's per-call cost is higher on a (1, n)
+    # block, and the plane scan compresses one signal at a time.
+    if len(signals) == 1:
+        block = signals[0].samples
+    else:
+        block = np.stack([s.samples for s in signals])
+    flat, lengths = _forward_rows(block, config.filters, levels)
+    flat = flat.reshape(len(signals), -1)
+    total = flat.shape[-1]
     kept = [max(1, int(total // cr)) for cr in crs]
-    masks = np.stack([_keep_mask(flat, keep) for keep in kept])
+    masks = np.array([[_keep_mask(row, keep) for keep in kept] for row in flat])
     # A dropped negative coefficient comes out as -0.0 here, not +0.0, but
     # every synthesis sum starts from +0.0, so the rows rebuild bit for bit
     # as from np.where(masks, flat, 0.0).
-    masked = np.multiply(masks, flat, out=_scratch(work, "masked", masks.shape))
-    rows = _inverse_rows(masked, coeffs.input_lengths, config.filters, work)
+    masked = np.multiply(masks, flat[:, None], out=_scratch(work, "masked", masks.shape))
+    kept_indices = [[np.flatnonzero(mask) for mask in signal_masks] for signal_masks in masks]
+    del masks, flat  # not needed again; freed before the inverse pass's buffers grow
+    rows = _inverse_rows(masked.reshape(-1, total), lengths, config.filters, work)
     results = []
-    for cr, keep, mask, row in zip(crs, kept, masks, rows):
-        reconstruction = Signal(row, sample_period_s=coeffs.sample_period_s)
-        results.append(CompressionResult(
-            reconstruction=reconstruction,
-            kept=keep,
-            total_coefficients=total,
-            prd_percent=prd(signal, reconstruction),
-            kept_indices=np.flatnonzero(mask),
-            levels=levels,
-            cr=float(cr),
-        ))
+    for signal, signal_indices, signal_rows in zip(
+        signals, kept_indices, rows.reshape(masked.shape[:2] + (-1,))
+    ):
+        results.append([])
+        for cr, keep, indices, row in zip(crs, kept, signal_indices, signal_rows):
+            reconstruction = Signal(row, sample_period_s=period)
+            results[-1].append(CompressionResult(
+                reconstruction=reconstruction,
+                kept=keep,
+                total_coefficients=total,
+                prd_percent=prd(signal, reconstruction),
+                kept_indices=indices,
+                levels=levels,
+                cr=float(cr),
+            ))
     return results

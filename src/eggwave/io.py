@@ -393,27 +393,46 @@ class Cohort:
             raise ValueError(f"cohort has no recording for ({subject}, {state})") from None
 
     def apply(self, fn, states=None, channels=None):
-        """Yield ``(subject, state, channel, fn(signal))`` for every trace.
+        """Yield ``(subject, state, channel, value)`` for every trace.
 
-        Order is subject (sorted), then state (``states`` as given, default
-        :attr:`states`), then channel (``channels`` as given, default each
-        recording's own ids).  An unknown state or channel id raises
-        ``ValueError``; a ``ValueError`` from ``fn`` is re-raised as
-        ``"subject S, state T, channel C: ..."``.
+        ``fn`` is called once per recording with that recording's selected
+        channels, a tuple of :class:`Signal` in channel order, and returns
+        one value per channel in the same order; each value is yielded in
+        its own row.  Order is subject (sorted), then state (``states`` as
+        given, default :attr:`states`), then channel (``channels`` as
+        given, default each recording's own ids).
+
+        An unknown state or channel id raises ``ValueError`` as is.  A
+        ``ValueError`` from building a channel's signal (a non-finite
+        sample) or from ``fn`` is re-raised as ``"subject S, state T,
+        channel C: ..."``; to find ``C`` after ``fn`` fails on a recording,
+        ``fn`` is called again on each channel alone, and the first one
+        that fails is named (if none does, the error names the recording).
         """
         states = self.states if states is None else list(states)
         channels = None if channels is None else list(channels)
         for subject in self.subjects:
             for state in states:
                 rec = self.get(subject, state)
-                for ch in rec.channel_ids if channels is None else channels:
-                    signal = rec.signal(ch)
+                ids = rec.channel_ids if channels is None else channels
+                columns = [rec.channel(ch) for ch in ids]
+                prefix = f"subject {subject}, state {state}"
+                signals = []
+                for ch, column in zip(ids, columns):
                     try:
-                        value = fn(signal)
+                        signals.append(Signal(column, sample_period_s=1.0 / rec.sample_rate_hz))
                     except ValueError as error:
-                        raise ValueError(
-                            f"subject {subject}, state {state}, channel {ch}: {error}"
-                        ) from error
+                        raise ValueError(f"{prefix}, channel {ch}: {error}") from error
+                try:
+                    values = fn(tuple(signals))
+                except ValueError as block_error:
+                    for ch, signal in zip(ids, signals):
+                        try:
+                            fn((signal,))
+                        except ValueError as error:
+                            raise ValueError(f"{prefix}, channel {ch}: {error}") from error
+                    raise ValueError(f"{prefix}: {block_error}") from block_error
+                for ch, value in zip(ids, values, strict=True):
                     yield subject, state, ch, value
 
 

@@ -219,7 +219,9 @@ def match_cohort(
     CompressionConfig(cr=cr, levels=levels)  # rejects a bad ratio or depth before any trace
     levels = _scan_depth(levels)
     traces = cohort.apply(
-        lambda signal: _scan_trace(signal, grid, cr, levels, refine).argmin, [state], channels
+        lambda signals: [_scan_trace(s, grid, cr, levels, refine).argmin for s in signals],
+        [state],
+        channels,
     )
     minima = [
         PlaneMinimum(subject=subject, channel=int(ch), a=a, b=b, prd_percent=value)

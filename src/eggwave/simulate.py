@@ -90,6 +90,11 @@ class CohortSpec:
             raise ValueError(f"duration times sample rate must be a finite sample count, got {n!r}")
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise ValueError("duration times sample rate must be a whole sample count")
+        if round(n) * 8 > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"duration_s {self.duration_s!r} at sample_rate_hz {self.sample_rate_hz!r} "
+                f"gives {round(n)} samples, more than a float64 array can hold"
+            )
 
     @property
     def n_samples(self) -> int:

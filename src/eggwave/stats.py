@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .compression import CompressionConfig, _compress_ratios
+from .compression import CompressionConfig, _blocks, _compress_ratios
 from .io import Cohort
 
 __all__ = [
@@ -463,18 +463,29 @@ def detection_rate(rows) -> float:
 
 def _prd_table(cohort: Cohort, states, config: CompressionConfig, crs) -> dict:
     # {(cr, state): {channel: PRD array over sorted subjects}}, states and ratios
-    # de-duplicated in first-seen order; each signal is transformed once, and
-    # every signal of the pass is rebuilt in one shared synthesis workspace.
+    # de-duplicated in first-seen order.  Each recording's channels are
+    # compressed in blocks (see compression._blocks), so each signal is
+    # transformed once, together with its neighbours, and every block of
+    # the pass is rebuilt in one shared synthesis workspace.  Only the PRDs
+    # leave a block, so one block's reconstructions are alive at a time.
     states = list(dict.fromkeys(states))
     ratios = list(dict.fromkeys(crs))
     table = {
         (cr, state): {ch: [] for ch in cohort.channel_ids} for cr in ratios for state in states
     }
     work = {}
-    traces = cohort.apply(lambda signal: _compress_ratios(signal, config, ratios, work), states)
-    for _, state, ch, results in traces:
-        for cr, result in zip(ratios, results):
-            table[(cr, state)][ch].append(result.prd_percent)
+
+    def prds(signals):
+        values = []
+        for block in _blocks(signals, len(ratios)):
+            results = _compress_ratios(block, config, ratios, work)
+            values.extend([result.prd_percent for result in row] for row in results)
+            del results  # free this block's reconstructions before the next block
+        return values
+
+    for _, state, ch, values in cohort.apply(prds, states):
+        for cr, value in zip(ratios, values):
+            table[(cr, state)][ch].append(value)
     return {key: {ch: np.asarray(v) for ch, v in prds.items()} for key, prds in table.items()}
 
 
@@ -549,15 +560,15 @@ def cr_sweep(
 ) -> list:
     """Detection-rate curve over compression ratios for each state pair.
 
-    Each signal is transformed once, and all its ratios are rebuilt from
-    that one transform in one stacked synthesis pass; the PRDs equal
-    those of :func:`state_prds` at each ratio bit for bit.  The synthesis
-    buffers are allocated once per sweep and reused for every signal, so
-    a sweep run first in a process does not fault in fresh pages for
-    each one.  Points come
-    ratio by ratio in the order given (duplicates included), then pair
-    by pair.  Cohort size and channel errors are reported as by
-    :func:`compare_states`.
+    Each recording's channels are compressed in blocks of up to ten rows
+    (channels x ratios): a block's signals are transformed together, once,
+    and all their ratios are rebuilt in one stacked synthesis pass; the
+    PRDs equal those of :func:`state_prds` at each ratio bit for bit.  The
+    synthesis buffers are allocated once per sweep and reused for every
+    block, so a sweep run first in a process does not fault in fresh pages
+    for each one.  Points come ratio by ratio in
+    the order given (duplicates included), then pair by pair.  Cohort size
+    and channel errors are reported as by :func:`compare_states`.
     """
     crs = [float(c) for c in crs]
     if not crs:

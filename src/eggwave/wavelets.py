@@ -297,20 +297,30 @@ class DwtCoefficients:
         return np.split(self.flat, np.cumsum(self.band_lengths()[::-1])[:-1])[:0:-1]
 
 
+@functools.lru_cache(maxsize=64)
+def _extension_index(n: int, taps: int) -> np.ndarray:
+    # Gather index of one level's circular extension: the level padded to
+    # even length by repeating its final sample, then wrapped for
+    # ``taps - 1`` more samples (several turns when the level is shorter
+    # than the filter).  Read-only, since every caller shares it.
+    n_even = n + n % 2
+    index = np.arange(n_even + taps - 1) % n_even
+    np.minimum(index, n - 1, out=index)
+    index.flags.writeable = False
+    return index
+
+
 def _analysis_step(v: np.ndarray, h: np.ndarray, g: np.ndarray):
-    # Odd-length inputs repeat their final sample so decimation by two
-    # stays invertible.
-    if v.size % 2:
-        v = np.append(v, v[-1])
-    n = v.size
-    # One circular extension serves every tap (np.resize wraps as often as
-    # needed when the level is shorter than the filter); tap m reads the
-    # strided slice ext[m], ext[m + 2], ..., i.e. v[(2k + m) mod n].
-    ext = np.resize(v, n + h.size - 1)
-    approx = np.zeros(n // 2)
-    detail = np.zeros(n // 2)
+    # Tap m reads the strided slice ext[m], ext[m + 2], ..., i.e. sample
+    # (2k + m) mod n of the even-padded level.  Leading axes are batch
+    # axes: every row gets exactly the sums it gets alone.
+    n = v.shape[-1]
+    n_even = n + n % 2
+    ext = v.take(_extension_index(n, h.size), axis=-1)
+    approx = np.zeros(v.shape[:-1] + (n_even // 2,))
+    detail = np.zeros(v.shape[:-1] + (n_even // 2,))
     for m in range(h.size):
-        vm = ext[m : m + n : 2]
+        vm = ext[..., m : m + n_even : 2]
         approx += h[m] * vm
         detail += g[m] * vm
     return approx, detail
@@ -318,17 +328,19 @@ def _analysis_step(v: np.ndarray, h: np.ndarray, g: np.ndarray):
 
 def _scratch(work, role: str, shape: tuple) -> np.ndarray:
     # A float buffer with stale contents; the caller overwrites every
-    # element.  With a workspace dict ``work`` it is kept under (role,
-    # shape) and handed out again on every later request for it, so a pass
-    # over many signals of one length allocates each buffer once.  With
+    # element.  With a workspace dict ``work`` one flat buffer is kept per
+    # role, grown to the largest request, and each request gets a
+    # contiguous view of its leading elements, valid until the next
+    # request for that role.  So a pass over many signals holds one set of
+    # buffers sized for its finest level, not one set per level.  With
     # ``work=None`` it is a plain temporary.
     if work is None:
         return np.empty(shape)
-    key = (role, shape)
-    buf = work.get(key)
-    if buf is None:
-        buf = work[key] = np.empty(shape)
-    return buf
+    size = math.prod(shape)
+    buf = work.get(role)
+    if buf is None or buf.size < size:
+        buf = work[role] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def _synthesis_step(approx, detail, h, g, out_len, work):
@@ -341,7 +353,7 @@ def _synthesis_step(approx, detail, h, g, out_len, work):
     # Phase-major rows and reused products keep a stack of rows in cache.
     # The extended bands, phase rows, products and output come from
     # ``_scratch(work, ...)``; with a workspace the returned view holds
-    # until the next step of the same shape.
+    # until the next step.
     half = approx.shape[-1]
     lag = h.size // 2 - 1
     ext_shape = approx.shape[:-1] + (half + lag,)
@@ -353,15 +365,18 @@ def _synthesis_step(approx, detail, h, g, out_len, work):
     d_ext = detail.take(wrap, axis=-1, mode="wrap", out=_scratch(work, "d_ext", ext_shape))
     phases = _scratch(work, "phases", (2,) + approx.shape)
     phases.fill(0.0)
-    term = _scratch(work, "term", approx.shape)
-    g_term = _scratch(work, "g_term", approx.shape)
+    # The two products share one buffer with the output, which is written
+    # only after the last product is summed.  The next step reads its input
+    # (this output) into its extended band before it forms any product.
+    terms = _scratch(work, "terms", (2,) + approx.shape)
+    term, g_term = terms
     for m in range(h.size):
         s = lag - m // 2
         np.multiply(h[m], a_ext[..., s : s + half], out=term)
         np.multiply(g[m], d_ext[..., s : s + half], out=g_term)
         term += g_term
         phases[m % 2] += term
-    out = _scratch(work, "out", approx.shape[:-1] + (2 * half,))
+    out = terms.reshape(approx.shape[:-1] + (2 * half,))
     out[..., 0::2] = phases[0]
     out[..., 1::2] = phases[1]
     return out[..., :out_len]
@@ -373,6 +388,9 @@ def dwt_forward(x, filters: FilterPair, levels: int) -> DwtCoefficients:
     Each level circularly convolves with ``h`` and ``g`` and keeps every
     second output; odd-length levels are extended by repeating the last
     sample first.  The result is deterministic and never mutates ``x``.
+    This is the one-row case of the batched pyramid that compresses a
+    recording's channels together, so a signal's coefficients are the
+    same bytes whether it is transformed alone or in a block.
 
     Parameters
     ----------
@@ -384,26 +402,30 @@ def dwt_forward(x, filters: FilterPair, levels: int) -> DwtCoefficients:
         Decomposition depth ``>= 1``.
     """
     signal = x if isinstance(x, Signal) else Signal(x)
-    samples = signal.samples
     if isinstance(levels, str) or int(levels) != levels or levels < 1:
         raise ValueError(f"decomposition depth must be a positive integer, got {levels!r}")
-    levels = int(levels)
-    if 2 ** levels > samples.size:
-        raise ValueError(
-            f"depth {levels} too deep for a {samples.size}-sample signal"
-        )
+    flat, lengths = _forward_rows(signal.samples, filters, int(levels))
+    return DwtCoefficients(
+        flat=flat, input_lengths=lengths, sample_period_s=signal.sample_period_s
+    )
+
+
+def _forward_rows(block: np.ndarray, filters: FilterPair, levels: int) -> tuple:
+    # Decompose every row of ``block`` (shape (..., n)) in one pass of the
+    # pyramid; returns the rows laid out as DwtCoefficients.flat, shape
+    # (..., total), and the input length of each level.  Each row comes
+    # out bit for bit as alone.
+    n = block.shape[-1]
+    if 2 ** levels > n:
+        raise ValueError(f"depth {levels} too deep for a {n}-sample signal")
     details = []
     lengths = []
-    v = samples
+    v = block
     for _ in range(levels):
-        lengths.append(v.size)
+        lengths.append(v.shape[-1])
         v, d = _analysis_step(v, filters.h, filters.g)
         details.append(d)
-    return DwtCoefficients(
-        flat=np.concatenate([v] + details[::-1]),
-        input_lengths=tuple(lengths),
-        sample_period_s=signal.sample_period_s,
-    )
+    return np.concatenate([v] + details[::-1], axis=-1), tuple(lengths)
 
 
 def dwt_inverse(coeffs: DwtCoefficients, filters: FilterPair) -> Signal:

@@ -55,6 +55,13 @@ class TestSimulate:
         assert result.output.startswith("Error: duration times sample rate must be a finite")
         assert "Traceback" not in result.output
 
+    def test_sample_count_too_large_for_an_array_is_data_error(self, tmp_path):
+        result = run("simulate", "--out", tmp_path / "x", "--duration", "1e20")
+        assert result.exit_code == 1
+        assert result.output.count("\n") == 1
+        assert result.output.startswith("Error: duration_s 1e+20 at sample_rate_hz 10.0 gives ")
+        assert not (tmp_path / "x").exists()
+
 
 class TestCompress:
     def test_cr_one_is_lossless_everywhere(self, dataset):

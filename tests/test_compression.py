@@ -338,7 +338,7 @@ class TestCompressRatios:
     @staticmethod
     def assert_matches_compress(x, config, crs):
         signal = Signal(x)
-        results = _compress_ratios(signal, config, crs, {})
+        [results] = _compress_ratios((signal,), config, crs, {})
         assert len(results) == len(crs)
         filters = resolve_wavelet(config.wavelet)
         for cr, got in zip(crs, results):
@@ -367,7 +367,7 @@ class TestCompressRatios:
         crs = [5.0, 2.0, 5.0, 1.0, 1e9, 3.5, 2.0]
         config = CompressionConfig(wavelet="daubechies-3", levels=levels)
         self.assert_matches_compress(x, config, crs)
-        results = _compress_ratios(Signal(x), config, crs, {})
+        [results] = _compress_ratios((Signal(x),), config, crs, {})
         assert results[3].kept == results[3].total_coefficients
         assert results[4].kept == 1
 
@@ -394,8 +394,8 @@ class TestCompressRatios:
         work = {}
         earlier = []
         for signal, config, crs in calls:
-            got = _compress_ratios(signal, config, crs, work)
-            want = _compress_ratios(signal, config, crs, {})
+            [got] = _compress_ratios((signal,), config, crs, work)
+            [want] = _compress_ratios((signal,), config, crs, {})
             for g, w in zip(got, want, strict=True):
                 assert g.prd_percent == w.prd_percent
                 assert (g.kept, g.levels, g.cr) == (w.kept, w.levels, w.cr)
@@ -410,6 +410,53 @@ class TestCompressRatios:
             for g, w in zip(got, want):
                 assert np.array_equal(g.reconstruction.samples, w.reconstruction.samples)
                 assert np.array_equal(g.kept_indices, w.kept_indices)
+
+
+@st.composite
+def signal_blocks(draw):
+    # One recording's worth of equal-length signals: 1-8 rows of 1-300
+    # samples, at "auto" or any depth up to floor(log2 n).
+    n = draw(st.integers(1, 300))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (draw(st.integers(1, 8)), n)
+    )
+    if draw(st.booleans()):
+        x = np.round(2.0 * x)  # tie-heavy: few distinct magnitudes
+        assume(bool(np.all(np.einsum("ij,ij->i", x, x) > 0.0)))
+    levels = draw(st.one_of(st.just("auto"), st.integers(1, max(1, n.bit_length() - 1))))
+    crs = draw(st.lists(st.one_of(st.sampled_from([1.0, 2.0, 3.0, 1e9]), st.floats(1.0, 50.0)),
+                        min_size=1, max_size=5))
+    return tuple(Signal(row) for row in x), levels, crs
+
+
+class TestCompressBlock:
+    """A block of signals must compress exactly as each signal alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=signal_blocks(), wavelet=wavelet_specs)
+    def test_block_equals_compress_per_signal(self, case, wavelet):
+        signals, levels, crs = case
+        config = CompressionConfig(wavelet=wavelet, levels=levels)
+        if len(signals[0]) == 1:
+            # No depth fits one sample; the block fails as a lone signal does.
+            message = r"^depth 1 too deep for a 1-sample signal$"
+            with pytest.raises(ValueError, match=message):
+                _compress_ratios(signals, config, crs, {})
+            with pytest.raises(ValueError, match=message):
+                compress(signals[0], config)
+            return
+        results = _compress_ratios(signals, config, crs, {})
+        assert len(results) == len(signals)
+        for signal, per_ratio in zip(signals, results):
+            assert len(per_ratio) == len(crs)
+            for cr, got in zip(crs, per_ratio):
+                want = compress(signal, replace(config, cr=cr))
+                assert got.prd_percent == want.prd_percent
+                assert (got.kept, got.total_coefficients, got.levels, got.cr) == (
+                    want.kept, want.total_coefficients, want.levels, want.cr
+                )
+                assert got.kept_indices.tobytes() == want.kept_indices.tobytes()
+                assert got.reconstruction.samples.tobytes() == want.reconstruction.samples.tobytes()
 
 
 def prd_by_kept(x, filters, levels):

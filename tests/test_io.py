@@ -391,8 +391,8 @@ class TestManifest:
             read_manifest(manifest_path)
 
 
-def identity(signal):
-    return signal
+def identity(signals):
+    return signals
 
 
 class TestCohortSignals:
@@ -489,7 +489,9 @@ class TestCohortApply:
     ])
     def test_yields_signals_order(self, states, channels):
         cohort = make_cohort()
-        applied = list(cohort.apply(lambda signal: signal.samples.sum(), states, channels))
+        applied = list(cohort.apply(
+            lambda signals: [s.samples.sum() for s in signals], states, channels
+        ))
         expected = [
             (subject, state, ch, cohort.get(subject, state).channel(ch).sum())
             for subject in ("dog00", "dog01")
@@ -502,16 +504,16 @@ class TestCohortApply:
         cohort = make_cohort()
         victim = cohort.get("dog01", "mild").channel(8)
 
-        def fail_on_8(signal):
-            if np.array_equal(signal.samples, victim):
+        def fail_on_8(signals):
+            if any(np.array_equal(s.samples, victim) for s in signals):
                 raise ValueError("bad trace")
-            return 0
+            return [0] * len(signals)
 
         with pytest.raises(ValueError, match=r"^subject dog01, state mild, channel 8: bad trace$"):
             list(cohort.apply(fail_on_8))
 
     def test_other_errors_pass_through(self):
-        def fail(signal):
+        def fail(signals):
             raise KeyError("untouched")
 
         with pytest.raises(KeyError, match="untouched"):
@@ -520,6 +522,31 @@ class TestCohortApply:
     def test_selection_errors_are_not_attributed_to_a_trace(self):
         with pytest.raises(ValueError, match=r"^recording has no channel 99"):
             list(make_cohort().apply(len, channels=[99]))
+
+    def test_value_error_from_the_recording_is_located_by_rerunning_each_channel(self):
+        calls = []
+
+        def fail_on_blocks(signals):
+            calls.append(len(signals))
+            if len(signals) > 1:
+                raise ValueError("needs one signal")
+            return [0]
+
+        with pytest.raises(ValueError, match=r"^subject dog00, state basal: needs one signal$"):
+            list(make_cohort().apply(fail_on_blocks))
+        assert calls == [3, 1, 1, 1]
+
+    def test_non_finite_sample_written_later_names_the_trace(self):
+        # RecordingFile.samples stays writable, so a value can turn bad after
+        # the recording's own check; the trace's Signal rejects it, located.
+        cohort = simulate_cohort(CohortSpec(subjects=3, channels=2, duration_s=30.0, seed=1))
+        cohort.get("dog01", "basal").samples[5, 0] = np.nan
+        message = r"^subject dog01, state basal, channel 7: signal samples must all be finite$"
+        with pytest.raises(ValueError, match=message):
+            state_prds(cohort, "basal")
+        # Selecting a channel the recording lacks is still not the trace's error.
+        with pytest.raises(ValueError, match=r"^recording has no channel 99; ids: \(7, 8\)$"):
+            list(cohort.apply(identity, states=["basal"], channels=[7, 99]))
 
 
 class TestReadDiagnostics:

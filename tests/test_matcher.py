@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from eggwave import matcher
 from eggwave.compression import CompressionConfig, compress
 from eggwave.matcher import (
     REFINE_RESOLUTION,
@@ -136,6 +137,24 @@ class TestPrdSurface:
     def test_argmin_attains_grid_minimum(self, square_surface):
         _, surface = square_surface
         assert surface.argmin[2] == float(np.min(surface.prd))
+
+
+class TestCompressCallCount:
+    def test_one_compress_call_per_plane_node(self, monkeypatch):
+        # The benchmark counts eggwave.matcher.compress calls on its scan
+        # as a hard count: one per plane node, refinement included.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return compress(*args, **kwargs)
+
+        monkeypatch.setattr(matcher, "compress", counted)
+        x = np.random.default_rng(3).standard_normal(64)
+        surface = prd_surface(x, GridSpec(resolution=8), cr=3.0, levels=3)
+        assert len(calls) == 64
+        refine_surface(x, surface)
+        assert len(calls) == 128
 
 
 class TestRefineSurface:

@@ -54,6 +54,16 @@ class TestCohortSpec:
         with pytest.raises(ValueError):
             CohortSpec(subjects=0)
 
+    def test_rejects_a_sample_count_no_array_can_hold(self):
+        # 1e21 samples is a finite whole count, so only the size check
+        # stops it before simulate_cohort asks numpy for the array.
+        message = (
+            r"^duration_s 1e\+20 at sample_rate_hz 10\.0 gives 1000000000000000000000 "
+            r"samples, more than a float64 array can hold$"
+        )
+        with pytest.raises(ValueError, match=message):
+            CohortSpec(subjects=1, channels=1, duration_s=1e20)
+
 
 class TestStateModel:
     def test_generator_counts(self):

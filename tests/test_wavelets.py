@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from eggwave.wavelets import (
     MAX_AUTO_LEVELS,
+    _forward_rows,
     _inverse_rows,
     _synthesis_step,
     COIFLET1_POINT,
@@ -408,6 +409,37 @@ class TestKernelOracle:
             row = replace(coeffs, flat=rows[i])
             assert np.array_equal(stacked[i], dwt_inverse(row, f).samples)
             assert np.array_equal(stacked[i], reference_inverse(row, f))
+
+
+@st.composite
+def row_blocks(draw):
+    # 1-8 rows of 2-300 samples at any depth up to floor(log2 n), so odd
+    # lengths and levels shorter than the filter both occur.
+    n = draw(st.integers(2, 300))
+    levels = draw(st.integers(1, n.bit_length() - 1))
+    rows = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).standard_normal((rows, n)), levels
+
+
+class TestForwardRows:
+    """A block's pyramid must give every row exactly what it gets alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=row_blocks(), wavelet=wavelet_specs)
+    def test_every_row_equals_dwt_forward_alone(self, case, wavelet):
+        block, levels = case
+        f = resolve_wavelet(wavelet)
+        flat, lengths = _forward_rows(block, f, levels)
+        assert flat.shape[0] == block.shape[0]
+        for row, got in zip(block, flat):
+            alone = dwt_forward(row, f, levels)
+            assert got.tobytes() == alone.flat.tobytes()
+            assert lengths == alone.input_lengths
+
+    def test_too_deep_names_the_length(self):
+        with pytest.raises(ValueError, match=r"^depth 3 too deep for a 7-sample signal$"):
+            _forward_rows(np.ones((2, 7)), named_wavelet("haar"), 3)
 
 
 class TestCoefficientLayout:
