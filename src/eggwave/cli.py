@@ -7,13 +7,14 @@ single-line diagnostic; usage errors exit with status 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .compression import CompressionConfig, _blocks, _compress_ratios
+from .compression import CompressionConfig, _prd_scores
 from .io import Cohort, load_cohort, read_recording, write_cohort
 from .matcher import (
     GridSpec,
@@ -110,20 +111,9 @@ def compress_command(data, wavelet, cr, depth, out):
     )
     cohort = load_cohort(data)
     lines = ["subject,state,channel,kept,total_coefficients,prd_percent"]
-    work = {}
-
-    def compress_recording(signals):
-        return [
-            result
-            for block in _blocks(signals, 1)
-            for (result,) in _compress_ratios(block, config, [config.cr], work)
-        ]
-
-    for subject, state, ch, result in cohort.apply(compress_recording):
-        lines.append(
-            f"{subject},{state},{ch},{result.kept},"
-            f"{result.total_coefficients},{result.prd_percent:.6f}"
-        )
+    scores = functools.partial(_prd_scores, config=config, crs=[config.cr], work={})
+    for subject, state, ch, (total, [kept], [value]) in cohort.apply(scores):
+        lines.append(f"{subject},{state},{ch},{kept},{total},{value:.6f}")
     table = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(table, encoding="ascii", newline="\n")
@@ -147,7 +137,7 @@ def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
     CompressionConfig(cr=cr, levels=depth)  # rejects a bad ratio or depth before any read
     rec = read_recording(recording)
     [(_, _, _, scan)] = Cohort({(rec.subject, rec.state): rec}).apply(
-        lambda signals: [_scan_trace(s, spec, cr, depth, refine) for s in signals],
+        lambda signals: (_scan_trace(s, spec, cr, depth, refine) for s in signals),
         channels=[channel],
     )
     a, b, value = scan.argmin

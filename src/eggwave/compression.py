@@ -8,6 +8,7 @@ root-mean-square difference (PRD) against the original samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -120,33 +121,35 @@ def prd(x, reconstruction) -> float:
     """Percent root-mean-square difference between a signal and a reconstruction.
 
     ``sqrt(sum((x - rec)**2) / sum(x**2)) * 100``; the reference signal
-    must carry nonzero energy.
+    must carry nonzero energy, and neither energy may overflow a float.
     """
     ref = as_samples(x)
     rec = as_samples(reconstruction)
     if ref.size != rec.size:
         raise ValueError(f"length mismatch: {ref.size} vs {rec.size}")
-    energy = float(np.dot(ref, ref))
-    if energy == 0.0:
-        raise ValueError("reference signal has zero energy")
-    diff = ref - rec
-    return float(np.sqrt(np.dot(diff, diff) / energy) * 100.0)
+    return _prd(ref, rec)
 
 
-#: Rows (signals x ratios) that one block of _compress_ratios rebuilds in
+def _prd(ref: np.ndarray, rec: np.ndarray) -> float:
+    # prd of two equal-length sample vectors; ``rec`` may be a workspace row.
+    # An overflowed energy is an error, not a warning and a nan (inf / inf).
+    with np.errstate(over="ignore"):
+        energy = float(np.dot(ref, ref))
+        if energy == 0.0:
+            raise ValueError("reference signal has zero energy")
+        diff = ref - rec
+        residual = float(np.dot(diff, diff))
+    if not (math.isfinite(energy) and math.isfinite(residual)):
+        raise ValueError("signal energy overflows a float")
+    return float(np.sqrt(residual / energy) * 100.0)
+
+
+#: Rows (signals x ratios) that one block of _compress_block rebuilds in
 #: one stacked inverse pass.  The synthesis workspace holds one buffer per
 #: role sized for the finest level, so ten rows take about as much memory
 #: as the five ratio rows of one signal took with a buffer set per level;
 #: the measured choices are listed in the ROADMAP.
 _BLOCK_ROWS = 10
-
-
-def _blocks(signals, ratios: int) -> list:
-    # One recording's signals, split into blocks for _compress_ratios at
-    # ``ratios`` ratios: as many signals as fit in _BLOCK_ROWS rows, at
-    # least one.
-    step = max(1, _BLOCK_ROWS // ratios)
-    return [signals[start : start + step] for start in range(0, len(signals), step)]
 
 
 def compress(x, config: CompressionConfig = CompressionConfig()) -> CompressionResult:
@@ -162,21 +165,44 @@ def compress(x, config: CompressionConfig = CompressionConfig()) -> CompressionR
     # No workspace: one signal has nothing to reuse, and a fresh one would
     # free every level's buffers together at the end, which lets glibc
     # trim the heap top and fault those pages in again on the next call.
-    return _compress_ratios((signal,), config, (config.cr,), None)[0][0]
+    levels, [kept], [[mask]], [[row]] = _compress_block((signal,), config, (config.cr,), None)
+    # Scored first, so an overflowed row reads as the energy error it is.
+    prd_percent = _prd(signal.samples, row)
+    return CompressionResult(
+        reconstruction=Signal(row, sample_period_s=signal.sample_period_s),
+        kept=kept,
+        total_coefficients=mask.size,
+        prd_percent=prd_percent,
+        kept_indices=np.flatnonzero(mask),
+        levels=levels,
+        cr=float(config.cr),
+    )
 
 
-def _compress_ratios(signals, config: CompressionConfig, crs, work) -> list:
-    # compress every signal of ``signals`` (one block of a recording's
+def _prd_scores(signals, config: CompressionConfig, crs, work):
+    # Yields (total coefficients, kept count per ratio, PRD per ratio) for
+    # each of one recording's signals in order, each as compress gives at
+    # that ratio, from blocks of as many signals as fit in _BLOCK_ROWS rows
+    # (at least one) rebuilt in the caller's workspace ``work``.  A signal
+    # is scored only when it is reached, so its error is raised there.
+    step = max(1, _BLOCK_ROWS // len(crs))
+    for start in range(0, len(signals), step):
+        block = signals[start : start + step]
+        _, kept, masks, rows = _compress_block(block, config, crs, work)
+        for signal, signal_rows in zip(block, rows):
+            yield masks.shape[-1], kept, [_prd(signal.samples, row) for row in signal_rows]
+
+
+def _compress_block(signals, config: CompressionConfig, crs, work) -> tuple:
+    # Compress every signal of ``signals`` (one block of a recording's
     # channels: one length, one sample period) at every ratio in ``crs``
-    # (``config.cr`` is not used); returns one list of results per signal,
-    # one result per ratio, each equal to compress at that ratio.  The
-    # depth search and one forward pass serve the whole block, and one
-    # stacked inverse pass rebuilds all its masked rows.  The masked rows
-    # and the synthesis temporaries come from the workspace ``work`` (see
-    # wavelets._scratch), which a caller compressing many blocks shares
-    # between calls; the results copy out of it.
-    period = signals[0].sample_period_s
-    levels = config.resolve_levels(period, len(signals[0]))
+    # (``config.cr`` is not used): one depth search and forward pass for the
+    # block, and one stacked inverse pass for all its masked rows.  Returns
+    # the depth, the kept count per ratio, the keep masks (signals, ratios,
+    # total) and the rebuilt rows (signals, ratios, n).  The masked rows and
+    # synthesis temporaries come from the workspace ``work`` (see
+    # wavelets._scratch), so with one the rows are a view of it.
+    levels = config.resolve_levels(signals[0].sample_period_s, len(signals[0]))
     # A lone signal stays 1-D: numpy's per-call cost is higher on a (1, n)
     # block, and the plane scan compresses one signal at a time.
     if len(signals) == 1:
@@ -192,23 +218,8 @@ def _compress_ratios(signals, config: CompressionConfig, crs, work) -> list:
     # every synthesis sum starts from +0.0, so the rows rebuild bit for bit
     # as from np.where(masks, flat, 0.0).
     masked = np.multiply(masks, flat[:, None], out=_scratch(work, "masked", masks.shape))
-    kept_indices = [[np.flatnonzero(mask) for mask in signal_masks] for signal_masks in masks]
-    del masks, flat  # not needed again; freed before the inverse pass's buffers grow
+    # The masks (a byte per coefficient) stay for compress's kept_indices;
+    # freeing them before the inverse pass gave no lower sweep peak.
+    del flat  # not needed again; freed before the inverse pass's buffers grow
     rows = _inverse_rows(masked.reshape(-1, total), lengths, config.filters, work)
-    results = []
-    for signal, signal_indices, signal_rows in zip(
-        signals, kept_indices, rows.reshape(masked.shape[:2] + (-1,))
-    ):
-        results.append([])
-        for cr, keep, indices, row in zip(crs, kept, signal_indices, signal_rows):
-            reconstruction = Signal(row, sample_period_s=period)
-            results[-1].append(CompressionResult(
-                reconstruction=reconstruction,
-                kept=keep,
-                total_coefficients=total,
-                prd_percent=prd(signal, reconstruction),
-                kept_indices=indices,
-                levels=levels,
-                cr=float(cr),
-            ))
-    return results
+    return levels, kept, masks, rows.reshape(masks.shape[:2] + (-1,))

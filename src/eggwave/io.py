@@ -402,12 +402,12 @@ class Cohort:
         given, default :attr:`states`), then channel (``channels`` as
         given, default each recording's own ids).
 
-        An unknown state or channel id raises ``ValueError`` as is.  A
-        ``ValueError`` from building a channel's signal (a non-finite
-        sample) or from ``fn`` is re-raised as ``"subject S, state T,
-        channel C: ..."``; to find ``C`` after ``fn`` fails on a recording,
-        ``fn`` is called again on each channel alone, and the first one
-        that fails is named (if none does, the error names the recording).
+        An unknown state or channel id raises ``ValueError`` as is.  Any
+        other ``ValueError`` is located where it is raised.  One from building
+        channel C's signal (a non-finite sample) or from producing its value
+        (``fn`` may return a generator) reads ``"subject S, state T, channel
+        C: ..."``; one from the call to ``fn`` itself reads ``"subject S,
+        state T: ..."``.  No channel is processed twice to locate an error.
         """
         states = self.states if states is None else list(states)
         channels = None if channels is None else list(channels)
@@ -424,16 +424,20 @@ class Cohort:
                     except ValueError as error:
                         raise ValueError(f"{prefix}, channel {ch}: {error}") from error
                 try:
-                    values = fn(tuple(signals))
-                except ValueError as block_error:
-                    for ch, signal in zip(ids, signals):
-                        try:
-                            fn((signal,))
-                        except ValueError as error:
-                            raise ValueError(f"{prefix}, channel {ch}: {error}") from error
-                    raise ValueError(f"{prefix}: {block_error}") from block_error
-                for ch, value in zip(ids, values, strict=True):
+                    values = iter(fn(tuple(signals)))
+                except ValueError as error:
+                    raise ValueError(f"{prefix}: {error}") from error
+                for ch in ids:
+                    try:
+                        value = next(values)
+                    except StopIteration:
+                        raise ValueError(f"{prefix}: fn gave fewer values than channels") from None
+                    except ValueError as error:
+                        raise ValueError(f"{prefix}, channel {ch}: {error}") from error
                     yield subject, state, ch, value
+                end = object()
+                if next(values, end) is not end:
+                    raise ValueError(f"{prefix}: fn gave more values than channels")
 
 
 def write_cohort(cohort: Cohort, out_dir) -> Path:

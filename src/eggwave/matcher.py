@@ -219,7 +219,7 @@ def match_cohort(
     CompressionConfig(cr=cr, levels=levels)  # rejects a bad ratio or depth before any trace
     levels = _scan_depth(levels)
     traces = cohort.apply(
-        lambda signals: [_scan_trace(s, grid, cr, levels, refine).argmin for s in signals],
+        lambda signals: (_scan_trace(s, grid, cr, levels, refine).argmin for s in signals),
         [state],
         channels,
     )

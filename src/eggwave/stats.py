@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .compression import CompressionConfig, _blocks, _compress_ratios
+from .compression import CompressionConfig, _prd_scores
 from .io import Cohort
 
 __all__ = [
@@ -463,27 +463,16 @@ def detection_rate(rows) -> float:
 
 def _prd_table(cohort: Cohort, states, config: CompressionConfig, crs) -> dict:
     # {(cr, state): {channel: PRD array over sorted subjects}}, states and ratios
-    # de-duplicated in first-seen order.  Each recording's channels are
-    # compressed in blocks (see compression._blocks), so each signal is
-    # transformed once, together with its neighbours, and every block of
-    # the pass is rebuilt in one shared synthesis workspace.  Only the PRDs
-    # leave a block, so one block's reconstructions are alive at a time.
+    # de-duplicated in first-seen order.  Each signal is transformed once,
+    # in a block of its recording's channels, and every block of the pass
+    # is rebuilt in one shared workspace (see compression._prd_scores).
     states = list(dict.fromkeys(states))
     ratios = list(dict.fromkeys(crs))
     table = {
         (cr, state): {ch: [] for ch in cohort.channel_ids} for cr in ratios for state in states
     }
-    work = {}
-
-    def prds(signals):
-        values = []
-        for block in _blocks(signals, len(ratios)):
-            results = _compress_ratios(block, config, ratios, work)
-            values.extend([result.prd_percent for result in row] for row in results)
-            del results  # free this block's reconstructions before the next block
-        return values
-
-    for _, state, ch, values in cohort.apply(prds, states):
+    scores = functools.partial(_prd_scores, config=config, crs=ratios, work={})
+    for _, state, ch, (_, _, values) in cohort.apply(scores, states):
         for cr, value in zip(ratios, values):
             table[(cr, state)][ch].append(value)
     return {key: {ch: np.asarray(v) for ch, v in prds.items()} for key, prds in table.items()}

@@ -5,6 +5,8 @@ import pytest
 
 from eggwave import (
     Cohort,
+    cli,
+    compression,
     DwtCoefficients,
     Manifest,
     lilliefors,
@@ -35,6 +37,13 @@ def test_fixed_values_are_not_parameters(function, removed):
 def test_cohort_has_one_walk():
     # Cohort.apply is the only way to iterate a cohort's signals.
     assert not hasattr(Cohort, "signals")
+
+
+def test_compression_has_one_block_walk():
+    # compression._prd_scores is the only walk of a recording's blocks.
+    for name in ("_blocks", "_compress_ratios"):
+        assert not hasattr(compression, name)
+        assert not hasattr(cli, name)
 
 
 def test_manifest_has_no_root():

@@ -184,6 +184,21 @@ class TestLocatedErrors:
         assert "Error: subject dog01, state mild, channel 10: " in result.output
         assert "zero energy" in result.output
 
+    def test_compress_names_an_overflowing_lead(self, tmp_path):
+        result = run(
+            "simulate", "--out", tmp_path, "--subjects", "3", "--duration", "30", "--seed", "5"
+        )
+        assert result.exit_code == 0, result.output
+        path = tmp_path / "recordings" / "dog01_mild.csv"
+        rec = read_recording(path)
+        rec.samples[:, rec.channel_ids.index(10)] *= 1e160
+        write_recording(rec, path)
+        result = run("compress", "--data", tmp_path / "manifest.txt")
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: subject dog01, state mild, channel 10: signal energy overflows a float\n"
+        )
+
     def test_compress_names_a_one_sample_trace(self, tmp_path):
         result = run(
             "simulate", "--out", tmp_path, "--subjects", "4", "--channels", "2",

@@ -10,8 +10,9 @@ from hypothesis.extra.numpy import arrays
 from eggwave.compression import (
     DEFAULT_TARGET_FREQUENCY_HZ,
     CompressionConfig,
-    _compress_ratios,
+    _compress_block,
     _keep_mask,
+    _prd_scores,
     compress,
     keep_largest,
     prd,
@@ -122,6 +123,23 @@ class TestPrd:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             prd(np.ones(4), np.ones(5))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_energy_rejected(self, scale):
+        # The energy is inf, so the ratio would read nan (or 0 against an
+        # exact reconstruction).
+        x = np.random.default_rng(1).standard_normal(512) * scale
+        with pytest.raises(ValueError, match="^signal energy overflows a float$"):
+            prd(x, x)
+        with pytest.raises(ValueError, match="^signal energy overflows a float$"):
+            compress(x)
+
+    def test_overflowing_transform_is_an_energy_error(self):
+        # At 1.5e308 the forward pass itself overflows; the reconstruction's
+        # non-finite samples are reported as the energy overflow they come from.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^signal energy overflows a float$"):
+                compress(np.full(512, 1.5e308))
 
 
 class TestCompressionConfig:
@@ -338,25 +356,27 @@ class TestCompressRatios:
     @staticmethod
     def assert_matches_compress(x, config, crs):
         signal = Signal(x)
-        [results] = _compress_ratios((signal,), config, crs, {})
-        assert len(results) == len(crs)
+        levels, kept, masks, rows = _compress_block((signal,), config, crs, {})
+        [(total, scored_kept, prds)] = _prd_scores((signal,), config, crs, {})
+        assert len(kept) == len(prds) == len(crs)
+        assert scored_kept == kept
         filters = resolve_wavelet(config.wavelet)
-        for cr, got in zip(crs, results):
+        for cr, keep, mask, row, value in zip(crs, kept, masks[0], rows[0], prds):
             want = compress(signal, replace(config, cr=cr))
-            assert got.prd_percent == want.prd_percent
-            assert got.kept == want.kept
-            assert got.total_coefficients == want.total_coefficients
-            assert got.levels == want.levels
-            assert got.cr == want.cr == float(cr)
-            assert np.array_equal(got.kept_indices, want.kept_indices)
-            assert np.array_equal(got.reconstruction.samples, want.reconstruction.samples)
-            assert got.reconstruction.sample_period_s == signal.sample_period_s
+            assert value == want.prd_percent
+            assert keep == want.kept
+            assert total == mask.size == want.total_coefficients
+            assert levels == want.levels
+            assert want.cr == float(cr)
+            assert np.array_equal(np.flatnonzero(mask), want.kept_indices)
+            assert row.tobytes() == want.reconstruction.samples.tobytes()
+            assert want.reconstruction.sample_period_s == signal.sample_period_s
             # The same result from the public building blocks, one row at a time.
-            coeffs = dwt_forward(signal, filters, got.levels)
-            alone = dwt_inverse(keep_largest(coeffs, got.kept), filters)
+            coeffs = dwt_forward(signal, filters, levels)
+            alone = dwt_inverse(keep_largest(coeffs, keep), filters)
             # Byte equality also tells +0.0 from -0.0.
-            assert got.reconstruction.samples.tobytes() == alone.samples.tobytes()
-            assert got.prd_percent == prd(signal, alone)
+            assert row.tobytes() == alone.samples.tobytes()
+            assert value == prd(signal, alone)
 
     @pytest.mark.parametrize("n", [128, 129, 6000, 6001, 1000])
     @pytest.mark.parametrize("levels", ["auto", 3, 7])
@@ -367,9 +387,9 @@ class TestCompressRatios:
         crs = [5.0, 2.0, 5.0, 1.0, 1e9, 3.5, 2.0]
         config = CompressionConfig(wavelet="daubechies-3", levels=levels)
         self.assert_matches_compress(x, config, crs)
-        [results] = _compress_ratios((Signal(x),), config, crs, {})
-        assert results[3].kept == results[3].total_coefficients
-        assert results[4].kept == 1
+        [(total, kept, _)] = _prd_scores((Signal(x),), config, crs, {})
+        assert kept[3] == total
+        assert kept[4] == 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -392,24 +412,17 @@ class TestCompressRatios:
     @given(calls=workspace_calls())
     def test_shared_workspace_equals_a_fresh_one(self, calls):
         work = {}
-        earlier = []
         for signal, config, crs in calls:
-            [got] = _compress_ratios((signal,), config, crs, work)
-            [want] = _compress_ratios((signal,), config, crs, {})
-            for g, w in zip(got, want, strict=True):
-                assert g.prd_percent == w.prd_percent
-                assert (g.kept, g.levels, g.cr) == (w.kept, w.levels, w.cr)
-                assert np.array_equal(g.kept_indices, w.kept_indices)
-                assert np.array_equal(g.reconstruction.samples, w.reconstruction.samples)
-            earlier.append((got, want))
-        # No result is a view of the workspace.
-        assert work
-        for buf in work.values():
-            buf.fill(np.nan)
-        for got, want in earlier:
-            for g, w in zip(got, want):
-                assert np.array_equal(g.reconstruction.samples, w.reconstruction.samples)
-                assert np.array_equal(g.kept_indices, w.kept_indices)
+            levels, kept, masks, rows = _compress_block((signal,), config, crs, work)
+            fresh = _compress_block((signal,), config, crs, {})
+            assert (levels, kept) == fresh[:2]
+            assert masks.tobytes() == fresh[2].tobytes()
+            assert rows.tobytes() == fresh[3].tobytes()
+            # With a workspace the rows are a view of it.
+            assert any(np.shares_memory(rows, buf) for buf in work.values())
+            assert list(_prd_scores((signal,), config, crs, work)) == list(
+                _prd_scores((signal,), config, crs, {})
+            )
 
 
 @st.composite
@@ -441,22 +454,31 @@ class TestCompressBlock:
             # No depth fits one sample; the block fails as a lone signal does.
             message = r"^depth 1 too deep for a 1-sample signal$"
             with pytest.raises(ValueError, match=message):
-                _compress_ratios(signals, config, crs, {})
+                _compress_block(signals, config, crs, {})
+            with pytest.raises(ValueError, match=message):
+                next(_prd_scores(signals, config, crs, {}))
             with pytest.raises(ValueError, match=message):
                 compress(signals[0], config)
             return
-        results = _compress_ratios(signals, config, crs, {})
-        assert len(results) == len(signals)
-        for signal, per_ratio in zip(signals, results):
-            assert len(per_ratio) == len(crs)
-            for cr, got in zip(crs, per_ratio):
+        filters = resolve_wavelet(wavelet)
+        depth, kept, masks, rows = _compress_block(signals, config, crs, {})
+        assert masks.shape[:2] == rows.shape[:2] == (len(signals), len(crs))
+        for signal, signal_masks, signal_rows in zip(signals, masks, rows):
+            coeffs = dwt_forward(signal, filters, depth)
+            for keep, mask, row in zip(kept, signal_masks, signal_rows):
+                alone = dwt_inverse(keep_largest(coeffs, keep), filters)
+                assert row.tobytes() == alone.samples.tobytes()
+                assert np.array_equal(mask, _keep_mask(coeffs.flat, keep))
+        # The generator runs the signals through blocks of _BLOCK_ROWS rows
+        # in one shared workspace.
+        scores = list(_prd_scores(signals, config, crs, {}))
+        assert len(scores) == len(signals)
+        for signal, (total, scored_kept, prds) in zip(signals, scores):
+            assert len(scored_kept) == len(prds) == len(crs)
+            for cr, keep, value in zip(crs, scored_kept, prds):
                 want = compress(signal, replace(config, cr=cr))
-                assert got.prd_percent == want.prd_percent
-                assert (got.kept, got.total_coefficients, got.levels, got.cr) == (
-                    want.kept, want.total_coefficients, want.levels, want.cr
-                )
-                assert got.kept_indices.tobytes() == want.kept_indices.tobytes()
-                assert got.reconstruction.samples.tobytes() == want.reconstruction.samples.tobytes()
+                assert value == want.prd_percent
+                assert (keep, total) == (want.kept, want.total_coefficients)
 
 
 def prd_by_kept(x, filters, levels):

@@ -505,9 +505,10 @@ class TestCohortApply:
         victim = cohort.get("dog01", "mild").channel(8)
 
         def fail_on_8(signals):
-            if any(np.array_equal(s.samples, victim) for s in signals):
-                raise ValueError("bad trace")
-            return [0] * len(signals)
+            for s in signals:
+                if np.array_equal(s.samples, victim):
+                    raise ValueError("bad trace")
+                yield 0
 
         with pytest.raises(ValueError, match=r"^subject dog01, state mild, channel 8: bad trace$"):
             list(cohort.apply(fail_on_8))
@@ -523,7 +524,7 @@ class TestCohortApply:
         with pytest.raises(ValueError, match=r"^recording has no channel 99"):
             list(make_cohort().apply(len, channels=[99]))
 
-    def test_value_error_from_the_recording_is_located_by_rerunning_each_channel(self):
+    def test_value_error_from_the_call_names_the_recording_without_a_rerun(self):
         calls = []
 
         def fail_on_blocks(signals):
@@ -534,7 +535,12 @@ class TestCohortApply:
 
         with pytest.raises(ValueError, match=r"^subject dog00, state basal: needs one signal$"):
             list(make_cohort().apply(fail_on_blocks))
-        assert calls == [3, 1, 1, 1]
+        assert calls == [3]
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_fn_gives_one_value_per_channel(self, count):
+        with pytest.raises(ValueError, match=r"^subject dog00, state basal: fn gave (fewer|more) "):
+            list(make_cohort().apply(lambda signals: [0] * count))
 
     def test_non_finite_sample_written_later_names_the_trace(self):
         # RecordingFile.samples stays writable, so a value can turn bad after

@@ -324,6 +324,22 @@ class TestMatchCohort:
         with pytest.raises(ValueError, match=message):
             match_cohort(cohort, "basal", GridSpec(resolution=8), levels=6, channels=[9, 7])
 
+    def test_flat_last_channel_is_named_without_rescanning(self, monkeypatch):
+        # Each channel is scanned once; the error is raised by the scan that fails.
+        cohort = simulate_cohort(CohortSpec(subjects=3, channels=3, duration_s=30.0, seed=3))
+        cohort.get("dog00", "basal").samples[:, 2] = 0.0
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return prd_surface(*args, **kwargs)
+
+        monkeypatch.setattr(matcher, "prd_surface", counted)
+        message = r"^subject dog00, state basal, channel 9: reference signal has zero energy$"
+        with pytest.raises(ValueError, match=message):
+            match_cohort(cohort, "basal", GridSpec(resolution=8), levels=3)
+        assert len(calls) == 3
+
     @pytest.mark.parametrize(
         "setting, message",
         [({"cr": 0.5}, r"^compression ratio must be at least 1"),

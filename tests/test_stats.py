@@ -623,6 +623,14 @@ class TestPipeline:
         with pytest.raises(ValueError, match=message):
             cr_sweep(cohort, crs=[3.0])
 
+    def test_overflowing_channel_energy_names_the_trace(self):
+        # A PRD against an energy of inf would read nan; it is rejected instead.
+        cohort = simulate_cohort(CohortSpec(subjects=4, channels=3, duration_s=30.0, seed=2))
+        cohort.get("dog02", "basal").samples[:, 1] *= 1e160
+        message = r"^subject dog02, state basal, channel 8: signal energy overflows a float$"
+        with pytest.raises(ValueError, match=message):
+            state_prds(cohort, "basal")
+
     def test_fewer_than_four_subjects_rejected_before_compressing(self):
         # Compressing any signal of this cohort would raise "zero energy".
         cohort = make_flat_cohort(3)
