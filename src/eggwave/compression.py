@@ -17,7 +17,6 @@ from .wavelets import (
     DwtCoefficients,
     FilterPair,
     Signal,
-    as_samples,
     _forward_rows,
     _inverse_rows,
     _scratch,
@@ -68,7 +67,7 @@ class CompressionConfig:
             chosen = select_scales(self.filters, sample_period_s, DEFAULT_TARGET_FREQUENCY_HZ)
             # At least depth 1, so a too-short signal is rejected for its
             # length, as with an explicit depth.
-            max_depth = max(1, int(np.floor(np.log2(n_samples))))
+            max_depth = max(1, int(n_samples).bit_length() - 1)
             return min(chosen, max_depth)
         return int(self.levels)
 
@@ -123,11 +122,10 @@ def prd(x, reconstruction) -> float:
     ``sqrt(sum((x - rec)**2) / sum(x**2)) * 100``; the reference signal
     must carry nonzero energy, and neither energy may overflow a float.
     """
-    ref = as_samples(x)
-    rec = as_samples(reconstruction)
-    if ref.size != rec.size:
-        raise ValueError(f"length mismatch: {ref.size} vs {rec.size}")
-    return _prd(ref, rec)
+    ref, rec = (s if isinstance(s, Signal) else Signal(s) for s in (x, reconstruction))
+    if len(ref) != len(rec):
+        raise ValueError(f"length mismatch: {len(ref)} vs {len(rec)}")
+    return _prd(ref.samples, rec.samples)
 
 
 def _prd(ref: np.ndarray, rec: np.ndarray) -> float:
@@ -193,6 +191,9 @@ def _prd_scores(signals, config: CompressionConfig, crs, work):
             yield masks.shape[-1], kept, [_prd(signal.samples, row) for row in signal_rows]
 
 
+# An overflowing transform leaves inf and nan rows for _prd to report as
+# the energy overflow they are, with no numpy warning before that error.
+@np.errstate(over="ignore", invalid="ignore")
 def _compress_block(signals, config: CompressionConfig, crs, work) -> tuple:
     # Compress every signal of ``signals`` (one block of a recording's
     # channels: one length, one sample period) at every ratio in ``crs``

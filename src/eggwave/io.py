@@ -144,7 +144,10 @@ def _parse_header(lines, path):
         key, sep, value = line[1:].partition(":")
         if not sep:
             raise ValueError(f"{path}: line {i + 1}: malformed header line {line!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ValueError(f"{path}: line {i + 1}: repeated header field {key!r}")
+        fields[key] = value.strip()
     else:
         raise ValueError(f"{path}: no data rows after the header")
     for required in ("subject", "state", "sample_rate_hz", "channels"):
@@ -311,6 +314,8 @@ def read_manifest(path) -> Manifest:
         if line.startswith("#"):
             key, _, value = line[1:].partition(":")
             if key.strip() == "seed":
+                if seed is not None:
+                    raise ValueError(f"{path}: line {i + 1}: repeated header field 'seed'")
                 try:
                     seed = int(value.strip())
                 except ValueError:
@@ -461,9 +466,8 @@ def write_cohort(cohort: Cohort, out_dir) -> Path:
 
 
 def load_cohort(manifest) -> Cohort:
-    """Load every recording listed by a manifest (path or Manifest)."""
-    if not isinstance(manifest, Manifest):
-        manifest = read_manifest(manifest)
+    """Load every recording listed by the manifest file at the path ``manifest``."""
+    manifest = read_manifest(manifest)
     recordings = {}
     first = None
     for entry in manifest.entries:

@@ -30,13 +30,10 @@ __all__ = [
     "square_wave_signal",
 ]
 
-#: Generator count per state: each circumferential cut splits off another one.
-STATE_GENERATORS = {"basal": 1, "mild": 2, "severe": 3}
-
 #: Total oscillator power per state, relative to basal (splitting loses power).
 STATE_POWER = {"basal": 1.00, "mild": 0.80, "severe": 0.60}
 
-#: How the state power divides across its generators.
+#: How the state power divides across its generators; each cut splits off one more.
 GENERATOR_SPLIT = {
     "basal": (1.0,),
     "mild": (0.52, 0.48),
@@ -116,9 +113,9 @@ class StateModel:
     noise_level: float
 
     def __post_init__(self):
-        if self.state not in STATE_GENERATORS:
+        if self.state not in STATES:
             raise ValueError(f"unknown state {self.state!r}; expected one of {STATES}")
-        generators = STATE_GENERATORS[self.state]
+        generators = len(GENERATOR_SPLIT[self.state])
         if len(self.frequencies_cpm) != generators:
             raise ValueError(
                 f"{self.state} state needs {generators} generator(s), "
@@ -146,10 +143,6 @@ class StateModel:
         object.__setattr__(self, "mixing", mixing)
 
 
-def _state_index(state: str) -> int:
-    return STATES.index(state)
-
-
 def state_model(spec: CohortSpec, subject: int, state: str) -> StateModel:
     """Draw the deterministic generator model for one (subject, state).
 
@@ -157,13 +150,13 @@ def state_model(spec: CohortSpec, subject: int, state: str) -> StateModel:
     subject share electrode gains; everything else is keyed by
     (seed, subject, state).  The noise level is ``NOISE_SIGMA``.
     """
-    if state not in STATE_GENERATORS:
+    if state not in STATES:
         raise ValueError(f"unknown state {state!r}; expected one of {STATES}")
     gains_rng = np.random.default_rng((spec.seed, subject, _GAIN_STREAM))
     gains = gains_rng.uniform(*CHANNEL_GAIN_RANGE, size=spec.channels)
 
-    rng = np.random.default_rng((spec.seed, subject, _state_index(state)))
-    generators = STATE_GENERATORS[state]
+    rng = np.random.default_rng((spec.seed, subject, STATES.index(state)))
+    generators = len(GENERATOR_SPLIT[state])
     frequencies = tuple(
         float(rng.uniform(lo, hi)) for lo, hi in GENERATOR_BANDS_CPM[state]
     )
@@ -220,7 +213,7 @@ def simulate_recording(spec: CohortSpec, model: StateModel, subject: int) -> Rec
         wave = amp * _generator_waveform(t, freq, phases)
         samples += wave[:, None] * model.mixing[:, g][None, :]
     for ch in range(spec.channels):
-        rng = np.random.default_rng((spec.seed, subject, _state_index(model.state), ch))
+        rng = np.random.default_rng((spec.seed, subject, STATES.index(model.state), ch))
         samples[:, ch] += model.noise_level * rng.standard_normal(n)
     return RecordingFile(
         subject=spec.subject_id(subject),

@@ -462,26 +462,27 @@ def detection_rate(rows) -> float:
 
 
 def _prd_table(cohort: Cohort, states, config: CompressionConfig, crs) -> dict:
-    # {(cr, state): {channel: PRD array over sorted subjects}}, states and ratios
-    # de-duplicated in first-seen order.  Each signal is transformed once,
+    # {(cr, state): {channel: PRD array over sorted subjects}} for distinct
+    # ``states`` and ``crs``.  Each signal is transformed once,
     # in a block of its recording's channels, and every block of the pass
     # is rebuilt in one shared workspace (see compression._prd_scores).
-    states = list(dict.fromkeys(states))
-    ratios = list(dict.fromkeys(crs))
     table = {
-        (cr, state): {ch: [] for ch in cohort.channel_ids} for cr in ratios for state in states
+        (cr, state): {ch: [] for ch in cohort.channel_ids} for cr in crs for state in states
     }
-    scores = functools.partial(_prd_scores, config=config, crs=ratios, work={})
+    scores = functools.partial(_prd_scores, config=config, crs=crs, work={})
     for _, state, ch, (_, _, values) in cohort.apply(scores, states):
-        for cr, value in zip(ratios, values):
+        for cr, value in zip(crs, values):
             table[(cr, state)][ch].append(value)
     return {key: {ch: np.asarray(v) for ch, v in prds.items()} for key, prds in table.items()}
 
 
 def _battery(cohort: Cohort, crs, pairs, wavelet, levels, alpha: float) -> dict:
-    # {(cr, state_a, state_b): comparison rows over sorted channels}.  Every
+    # {(cr, state_a, state_b): comparison rows over sorted channels}, each
+    # distinct ratio and pair scored once, in first-seen order.  Every
     # setting, then the cohort's size, is checked before any signal is
     # compressed; a failing channel is named with its pair.
+    crs = list(dict.fromkeys(crs))
+    pairs = list(dict.fromkeys(pairs))
     configs = [CompressionConfig(wavelet=wavelet, cr=cr, levels=levels) for cr in crs]
     _check_level(alpha)
     count = len(cohort.subjects)
@@ -490,7 +491,8 @@ def _battery(cohort: Cohort, crs, pairs, wavelet, levels, alpha: float) -> dict:
             f"paired comparisons need at least {LILLIEFORS_MIN_VALUES} subjects, "
             f"the cohort has {count}"
         )
-    table = _prd_table(cohort, [state for pair in pairs for state in pair], configs[0], crs)
+    states = list(dict.fromkeys(state for pair in pairs for state in pair))
+    table = _prd_table(cohort, states, configs[0], crs)
     battery = {}
     for cr in crs:
         for state_a, state_b in pairs:
@@ -549,19 +551,22 @@ def cr_sweep(
 ) -> list:
     """Detection-rate curve over compression ratios for each state pair.
 
-    Each recording's channels are compressed in blocks of up to ten rows
-    (channels x ratios): a block's signals are transformed together, once,
-    and all their ratios are rebuilt in one stacked synthesis pass; the
-    PRDs equal those of :func:`state_prds` at each ratio bit for bit.  The
-    synthesis buffers are allocated once per sweep and reused for every
-    block, so a sweep run first in a process does not fault in fresh pages
-    for each one.  Points come ratio by ratio in
-    the order given (duplicates included), then pair by pair.  Cohort size
-    and channel errors are reported as by :func:`compare_states`.
+    Gives one point per listed ratio and pair, ratio by ratio in the order
+    given, then pair by pair; a repeated ratio or pair is scored once and
+    its point repeated.  ``pairs`` may be any iterable of two-state pairs.
+    No ratios, no pairs or a pair that does not name two states is
+    rejected before any signal is compressed.  Cohort size and channel
+    errors are reported as by :func:`compare_states`.
     """
     crs = [float(c) for c in crs]
     if not crs:
         raise ValueError("sweep needs at least one compression ratio")
+    pairs = [tuple(pair) for pair in pairs]
+    if not pairs:
+        raise ValueError("sweep needs at least one state pair")
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ValueError(f"state pair must name two states, got {pair!r}")
     battery = _battery(cohort, crs, pairs, wavelet, levels, alpha)
     points = []
     for cr in crs:

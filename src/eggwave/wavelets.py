@@ -25,7 +25,6 @@ __all__ = [
     "Signal",
     "FilterPair",
     "DwtCoefficients",
-    "as_samples",
     "quadrature_mirror",
     "named_wavelet",
     "pollen_filter",
@@ -80,13 +79,6 @@ class Signal:
 
     def __len__(self) -> int:
         return self.samples.size
-
-
-def as_samples(x) -> np.ndarray:
-    """Coerce a :class:`Signal` or array-like to a validated sample vector."""
-    if isinstance(x, Signal):
-        return x.samples
-    return Signal(x).samples
 
 
 def quadrature_mirror(h: np.ndarray) -> np.ndarray:
@@ -510,10 +502,7 @@ def select_scales(
     """
     if not target_frequency_hz > 0:
         raise ValueError("target frequency must be positive")
-    if not sample_period_s > 0:
-        raise ValueError("sample period must be positive")
-    center = center_frequency(filters)
     return min(
         range(1, MAX_AUTO_LEVELS + 1),
-        key=lambda level: abs(center / (2.0 ** level * sample_period_s) - target_frequency_hz),
+        key=lambda k: abs(pseudo_frequency(filters, k, sample_period_s) - target_frequency_hz),
     )

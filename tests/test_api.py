@@ -10,10 +10,13 @@ from eggwave import (
     DwtCoefficients,
     Manifest,
     lilliefors,
+    load_cohort,
     paired_t,
     refine_surface,
+    simulate,
     state_model,
     stats,
+    wavelets,
     wilcoxon_signed_rank,
 )
 
@@ -44,6 +47,18 @@ def test_compression_has_one_block_walk():
     for name in ("_blocks", "_compress_ratios"):
         assert not hasattr(compression, name)
         assert not hasattr(cli, name)
+
+
+def test_each_rule_is_stated_once():
+    # prd coerces its inputs as compress does; a state's generator count is
+    # the length of its GENERATOR_SPLIT and its index is STATES.index.
+    assert not hasattr(wavelets, "as_samples")
+    for name in ("STATE_GENERATORS", "_state_index"):
+        assert not hasattr(simulate, name)
+
+
+def test_load_cohort_takes_a_path_only():
+    assert len(inspect.signature(load_cohort).parameters) == 1
 
 
 def test_manifest_has_no_root():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -136,10 +137,13 @@ class TestPrd:
 
     def test_overflowing_transform_is_an_energy_error(self):
         # At 1.5e308 the forward pass itself overflows; the reconstruction's
-        # non-finite samples are reported as the energy overflow they come from.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # non-finite samples are reported as the energy overflow they come
+        # from, with no numpy warning before the error.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(ValueError, match="^signal energy overflows a float$"):
                 compress(np.full(512, 1.5e308))
+        assert caught == []
 
 
 class TestCompressionConfig:

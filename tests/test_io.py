@@ -606,6 +606,22 @@ class TestReadDiagnostics:
         with pytest.raises(ValueError, match=r"r\.csv: subject and state must be non-empty$"):
             read_recording(path)
 
+    @pytest.mark.parametrize("line", ["# subject: dog99", "# state: severe"])
+    def test_repeated_header_field_names_the_line(self, tmp_path, line):
+        # Read with the last value, the file would name another recording.
+        path = self.edited(tmp_path, "# channels:", f"{line}\n# channels:")
+        field = line[2:].partition(":")[0]
+        message = rf"r\.csv: line 5: repeated header field '{field}'$"
+        with pytest.raises(ValueError, match=message):
+            read_recording(path)
+
+    def test_repeated_manifest_seed_names_the_line(self, tmp_path):
+        manifest_path = write_cohort(make_cohort(), tmp_path)
+        manifest_path.write_text("# seed: 8\n" + manifest_path.read_text())
+        message = r"manifest\.txt: line 2: repeated header field 'seed'$"
+        with pytest.raises(ValueError, match=message):
+            read_manifest(manifest_path)
+
     def test_nul_byte_in_a_manifest_path_names_the_line(self, tmp_path):
         manifest_path = write_cohort(make_cohort(), tmp_path)
         text = manifest_path.read_text()

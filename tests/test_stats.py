@@ -757,6 +757,36 @@ class TestSweepTransformsOnce:
         assert int(out.stdout) < 4000
 
 
+class TestSweepInputs:
+    PAIRS = [("basal", "mild"), ("basal", "severe")]
+
+    @pytest.fixture(scope="class")
+    def two_channels(self):
+        return simulate_cohort(CohortSpec(subjects=4, channels=2, duration_s=60.0, seed=11))
+
+    def test_repeated_ratio_and_pair_are_scored_once(self, two_channels):
+        pairs = [("basal", "severe")] * 2
+        expected = cr_sweep_per_ratio(two_channels, [3, 3], pairs=pairs)
+        with mock.patch.object(stats, "compare_paired", wraps=compare_paired) as spy:
+            points = cr_sweep(two_channels, [3, 3], pairs=pairs)
+        assert spy.call_count == 2  # one per channel, not per listed ratio and pair
+        assert len(points) == 4
+        assert points == expected
+
+    def test_pairs_may_be_a_one_shot_iterable(self, two_channels):
+        points = cr_sweep(two_channels, [3.0, 5.0], pairs=iter(self.PAIRS))
+        assert points == cr_sweep(two_channels, [3.0, 5.0], pairs=self.PAIRS)
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([], r"^sweep needs at least one state pair$"),
+        ([("basal",)], r"^state pair must name two states, got \('basal',\)$"),
+        ([("basal", "mild", "severe")], r"^state pair must name two states, got \('basal', "),
+    ])
+    def test_unrunnable_pairs_rejected_before_compressing(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            cr_sweep(make_flat_cohort(4), [3.0], pairs=pairs)
+
+
 def state_prds_direct(cohort, state, wavelet, cr, levels):
     """Per-channel PRDs by one compress call per signal (the direct form)."""
     config = CompressionConfig(wavelet=wavelet, cr=cr, levels=levels)
