@@ -18,6 +18,7 @@ from .compression import CompressionConfig, _prd_scores
 from .io import Cohort, load_cohort, read_recording, write_cohort
 from .matcher import (
     GridSpec,
+    _scan_depth,
     _scan_trace,
     match_cohort,
     minima_to_csv,
@@ -134,7 +135,7 @@ def compress_command(data, wavelet, cr, depth, out):
 def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
     """PRD surface of one recording channel over the filter plane."""
     spec = GridSpec(resolution=grid)
-    CompressionConfig(cr=cr, levels=depth)  # rejects a bad ratio or depth before any read
+    _scan_depth(cr, depth)  # rejects a bad ratio or depth before any read
     rec = read_recording(recording)
     [(_, _, _, scan)] = Cohort({(rec.subject, rec.state): rec}).apply(
         lambda signals: (_scan_trace(s, spec, cr, depth, refine) for s in signals),
@@ -166,7 +167,7 @@ def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
 def match(data, state, grid, cr, depth, channels, refine, out):
     """Best-matching plane point per recording and the cohort aggregate."""
     spec = GridSpec(resolution=grid)
-    CompressionConfig(cr=cr, levels=depth)  # rejects a bad ratio or depth before any read
+    _scan_depth(cr, depth)  # rejects a bad ratio or depth before any read
     if channels == "all":
         selected = None
     else:

@@ -23,7 +23,6 @@ __all__ = [
     "STATES",
     "RecordingFile",
     "Manifest",
-    "ManifestEntry",
     "Cohort",
     "write_recording",
     "read_recording",
@@ -268,15 +267,9 @@ def read_recording(path) -> RecordingFile:
 
 
 @dataclass(frozen=True)
-class ManifestEntry:
-    subject: str
-    state: str
-    path: Path
-
-
-@dataclass(frozen=True)
 class Manifest:
-    """Resolved cohort index: one recording path per (subject, state)."""
+    """Resolved cohort index: ``entries`` holds one ``(subject, state, path)``
+    triple per (subject, state), as :func:`write_manifest` takes them."""
 
     entries: tuple
     seed: object = None
@@ -341,11 +334,11 @@ def read_manifest(path) -> Manifest:
             rec_path = (path.parent / rel).resolve()
         except ValueError as error:  # e.g. an embedded NUL byte
             raise ValueError(f"{path}: line {i + 1}: bad recording path {rel!r}: {error}") from None
-        entries.append(ManifestEntry(subject, state, rec_path))
+        entries.append((subject, state, rec_path))
     if not entries:
         raise ValueError(f"{path}: manifest lists no recordings")
 
-    missing = [str(e.path) for e in entries if not e.path.is_file()]
+    missing = [str(rec_path) for _, _, rec_path in entries if not rec_path.is_file()]
     if missing:
         raise ValueError(
             f"{path}: missing recording files: " + "; ".join(missing)
@@ -470,17 +463,17 @@ def load_cohort(manifest) -> Cohort:
     manifest = read_manifest(manifest)
     recordings = {}
     first = None
-    for entry in manifest.entries:
-        rec = read_recording(entry.path)
-        if rec.subject != entry.subject or rec.state != entry.state:
+    for subject, state, rec_path in manifest.entries:
+        rec = read_recording(rec_path)
+        if rec.subject != subject or rec.state != state:
             raise ValueError(
-                f"{entry.path}: header says ({rec.subject}, {rec.state}) but the "
-                f"manifest lists it as ({entry.subject}, {entry.state})"
+                f"{rec_path}: header says ({rec.subject}, {rec.state}) but the "
+                f"manifest lists it as ({subject}, {state})"
             )
-        first = first or (entry.path, rec.channel_ids)
+        first = first or (rec_path, rec.channel_ids)
         if rec.channel_ids != first[1]:
             raise ValueError(
-                f"{entry.path}: channel ids {rec.channel_ids} differ from {first[1]} in {first[0]}"
+                f"{rec_path}: channel ids {rec.channel_ids} differ from {first[1]} in {first[0]}"
             )
-        recordings[(entry.subject, entry.state)] = rec
+        recordings[(subject, state)] = rec
     return Cohort(recordings=recordings, seed=manifest.seed)

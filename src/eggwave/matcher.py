@@ -86,18 +86,18 @@ class PrdSurface:
         return (float(self.a_values[i]), float(self.b_values[j]), float(self.prd[i, j]))
 
 
-def _scan_depth(levels) -> int:
+def _scan_depth(cr, levels) -> int:
     # A plane scan compresses every node at one fixed depth, so neither
     # "auto" nor a fractional depth is accepted.
     if isinstance(levels, str) or int(levels) != levels:
         raise ValueError(f"a plane scan needs an integer depth, got {levels!r}")
-    return int(levels)
+    return CompressionConfig(cr=float(cr), levels=int(levels)).levels
 
 
 def prd_surface(x, grid: GridSpec, cr: float = 3.0, levels: int = 6) -> PrdSurface:
     """Evaluate the compression PRD at every plane point of a grid."""
     signal = x if isinstance(x, Signal) else Signal(x)
-    cr, levels = float(cr), _scan_depth(levels)
+    cr, levels = float(cr), _scan_depth(cr, levels)
     a_values, b_values = grid.a_values, grid.b_values
     values = [
         [
@@ -216,8 +216,7 @@ def match_cohort(
     surface; its global argmin (optionally refined by a sub-grid pass)
     enters the cohort aggregate.
     """
-    CompressionConfig(cr=cr, levels=levels)  # rejects a bad ratio or depth before any trace
-    levels = _scan_depth(levels)
+    levels = _scan_depth(cr, levels)
     traces = cohort.apply(
         lambda signals: (_scan_trace(s, grid, cr, levels, refine).argmin for s in signals),
         [state],

@@ -478,11 +478,18 @@ def _prd_table(cohort: Cohort, states, config: CompressionConfig, crs) -> dict:
 
 def _battery(cohort: Cohort, crs, pairs, wavelet, levels, alpha: float) -> dict:
     # {(cr, state_a, state_b): comparison rows over sorted channels}, each
-    # distinct ratio and pair scored once, in first-seen order.  Every
-    # setting, then the cohort's size, is checked before any signal is
-    # compressed; a failing channel is named with its pair.
+    # distinct ratio and pair scored once, in first-seen order.  Settings,
+    # then the cohort's size, then each pair's states are checked before any
+    # signal is compressed; a failing channel is named with its pair.
     crs = list(dict.fromkeys(crs))
+    if not crs:
+        raise ValueError("sweep needs at least one compression ratio")
     pairs = list(dict.fromkeys(pairs))
+    if not pairs:
+        raise ValueError("sweep needs at least one state pair")
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ValueError(f"state pair must name two states, got {pair!r}")
     configs = [CompressionConfig(wavelet=wavelet, cr=cr, levels=levels) for cr in crs]
     _check_level(alpha)
     count = len(cohort.subjects)
@@ -491,6 +498,11 @@ def _battery(cohort: Cohort, crs, pairs, wavelet, levels, alpha: float) -> dict:
             f"paired comparisons need at least {LILLIEFORS_MIN_VALUES} subjects, "
             f"the cohort has {count}"
         )
+    for state_a, state_b in pairs:
+        if state_a == state_b:
+            raise ValueError(f"state pair {state_a}:{state_b} compares a state with itself")
+        if not {state_a, state_b} <= set(cohort.states):
+            raise ValueError(f"state pair {state_a}:{state_b} names a state the cohort does not have")
     states = list(dict.fromkeys(state for pair in pairs for state in pair))
     table = _prd_table(cohort, states, configs[0], crs)
     battery = {}
@@ -533,9 +545,10 @@ def compare_states(
 ) -> list:
     """Per-channel comparison table between two states of a cohort.
 
-    A cohort of fewer than 4 subjects is rejected before any signal is
-    compressed.  A channel that cannot be compared raises ``ValueError``
-    naming the channel and the pair (``"channel C, A:B: ..."``).
+    A cohort of fewer than 4 subjects, or a pair that compares a state
+    with itself or names a state the cohort does not have, is rejected
+    before any signal is compressed.  A channel that cannot be compared
+    raises ``ValueError`` naming it and the pair (``"channel C, A:B: ..."``).
     """
     battery = _battery(cohort, [cr], [(state_a, state_b)], wavelet, levels, alpha)
     return battery[(cr, state_a, state_b)]
@@ -554,19 +567,12 @@ def cr_sweep(
     Gives one point per listed ratio and pair, ratio by ratio in the order
     given, then pair by pair; a repeated ratio or pair is scored once and
     its point repeated.  ``pairs`` may be any iterable of two-state pairs.
-    No ratios, no pairs or a pair that does not name two states is
-    rejected before any signal is compressed.  Cohort size and channel
-    errors are reported as by :func:`compare_states`.
+    No ratios, no pairs, a pair that does not name two states or one that
+    :func:`compare_states` rejects fails before any signal is compressed.
+    Cohort size and channel errors are reported as by :func:`compare_states`.
     """
     crs = [float(c) for c in crs]
-    if not crs:
-        raise ValueError("sweep needs at least one compression ratio")
     pairs = [tuple(pair) for pair in pairs]
-    if not pairs:
-        raise ValueError("sweep needs at least one state pair")
-    for pair in pairs:
-        if len(pair) != 2:
-            raise ValueError(f"state pair must name two states, got {pair!r}")
     battery = _battery(cohort, crs, pairs, wavelet, levels, alpha)
     points = []
     for cr in crs:

@@ -8,6 +8,7 @@ from eggwave import (
     cli,
     compression,
     DwtCoefficients,
+    io,
     Manifest,
     lilliefors,
     load_cohort,
@@ -59,6 +60,11 @@ def test_each_rule_is_stated_once():
 
 def test_load_cohort_takes_a_path_only():
     assert len(inspect.signature(load_cohort).parameters) == 1
+
+
+def test_manifest_entries_are_plain_triples():
+    # read_manifest gives the (subject, state, path) triples write_manifest takes.
+    assert not hasattr(io, "ManifestEntry")
 
 
 def test_manifest_has_no_root():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from eggwave.cli import main
+from eggwave.cli import main, parse_wavelet
 from eggwave.io import read_recording, write_recording
 
 
@@ -322,3 +322,39 @@ class TestUsageErrors:
     def test_unknown_command_exits_2(self):
         result = run("frobnicate")
         assert result.exit_code == 2
+
+
+class TestPairChecks:
+    @pytest.mark.parametrize("pair, message", [
+        ("basal:basal", "Error: state pair basal:basal compares a state with itself\n"),
+        ("basal:bogus", "Error: state pair basal:bogus names a state the cohort does not have\n"),
+    ], ids=["itself", "unknown"])
+    def test_unrunnable_pair_is_one_data_error(self, dataset, pair, message):
+        result = run("stats", "--data", dataset, "--pair", pair)
+        assert result.exit_code == 1
+        assert result.output == message
+
+
+class TestParsers:
+    @pytest.mark.parametrize("text, message", [
+        ("pollen:1", "pollen wavelet needs two angles, got '1'"),
+        ("pollen:a,b", "pollen angles must be numbers, got 'a,b'"),
+    ], ids=["one-angle", "words"])
+    def test_bad_pollen_wavelet(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_wavelet(text)
+
+    def test_word_depth_is_a_data_error(self, tmp_path):
+        result = run("compress", "--data", tmp_path / "missing.txt", "--depth", "seven")
+        assert result.exit_code == 1
+        assert result.output == "Error: depth must be an integer or 'auto', got 'seven'\n"
+
+
+def test_sweep_without_out_prints_the_curve(dataset):
+    result = run("sweep", "--data", dataset, "--crs", "3")
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[0] == "cr,state_a,state_b,significant_channels,total_channels,detection_percent"
+    assert [l.split(",")[:3] for l in lines[1:]] == [
+        ["3", "basal", "mild"], ["3", "basal", "severe"]
+    ]

@@ -733,3 +733,49 @@ class TestReaderFuzz:
                 assert _same_recording(after, before)
         prefixes = tuple({str(f) for f in files} | {str(f.resolve()) for f in files})
         _read_or_path_error(load_cohort, manifest, prefixes)
+
+
+class TestPlainChecks:
+    def test_manifest_entries_round_trip_as_triples(self, tmp_path):
+        root = tmp_path.resolve()
+        entries = [
+            (subject, "basal", write_recording(make_recording(subject), root / f"{subject}.csv"))
+            for subject in ("dog00", "dog01")
+        ]
+        assert read_manifest(write_manifest(entries, root / "manifest.txt")).entries == tuple(entries)
+
+    def test_one_dimensional_samples_rejected(self):
+        with pytest.raises(ValueError, match="^samples must form a non-empty 2-D matrix$"):
+            RecordingFile("dog00", "basal", 10.0, (7,), np.ones(4))
+
+    def test_header_only_recording_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("# subject: dog00\n# state: basal\n")
+        with pytest.raises(ValueError, match=r"r\.csv: no data rows after the header$"):
+            read_recording(path)
+
+    def test_infinite_sample_rate_header_rejected(self, tmp_path):
+        path = write_recording(make_recording(n=4), tmp_path / "r.csv")
+        path.write_text(path.read_text().replace("sample_rate_hz: 10", "sample_rate_hz: inf"))
+        with pytest.raises(ValueError, match=r"r\.csv: non-finite sample_rate_hz header 'inf'$"):
+            read_recording(path)
+
+    def test_manifest_with_no_entries_rejected(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text("# seed: 1\nsubject,state,path\n")
+        with pytest.raises(ValueError, match=r"manifest\.txt: manifest lists no recordings$"):
+            read_manifest(path)
+
+    def test_empty_cohort_rejected(self):
+        with pytest.raises(ValueError, match="^cohort holds no recordings$"):
+            Cohort({})
+
+    def test_write_cohort_skips_a_missing_pair(self, tmp_path):
+        cohort = make_cohort()
+        recordings = {k: v for k, v in cohort.recordings.items() if k != ("dog01", "mild")}
+        manifest = write_cohort(Cohort(recordings, seed=1), tmp_path)
+        assert [e[:2] for e in read_manifest(manifest).entries] == [
+            ("dog00", "basal"), ("dog00", "mild"), ("dog00", "severe"),
+            ("dog01", "basal"), ("dog01", "severe"),
+        ]
+        assert not (tmp_path / "recordings" / "dog01_mild.csv").exists()

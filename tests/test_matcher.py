@@ -387,3 +387,19 @@ class TestExports:
         path = surface_to_pgm(surface, tmp_path / "flat.pgm")
         pixels = [int(v) for line in path.read_text().splitlines()[3:] for v in line.split()]
         assert set(pixels) == {0}
+
+
+def test_fractional_match_depth_is_a_scan_error(monkeypatch):
+    cohort = simulate_cohort(CohortSpec(subjects=3, duration_s=5.0, seed=3))
+    monkeypatch.setattr(matcher, "prd_surface", None)  # any scan would fail on the call
+    with pytest.raises(ValueError, match=r"^a plane scan needs an integer depth, got 2\.5$"):
+        match_cohort(cohort, levels=2.5)
+
+
+@pytest.mark.parametrize("prd, message", [
+    (np.zeros((3, 2)), "^surface shape does not match its axes$"),
+    (np.full((2, 3), np.nan), "^surface contains non-finite PRD values$"),
+], ids=["shape", "nan"])
+def test_surface_rejects_a_bad_prd_matrix(prd, message):
+    with pytest.raises(ValueError, match=message):
+        PrdSurface(a_values=np.zeros(2), b_values=np.zeros(3), prd=prd, cr=3.0, levels=6)

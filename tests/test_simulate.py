@@ -218,3 +218,27 @@ class TestSquareWave:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             square_wave_signal(0)
+
+
+def test_zero_duration_rejected():
+    with pytest.raises(ValueError, match="^duration and sample rate must be positive$"):
+        CohortSpec(subjects=1, channels=1, duration_s=0)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"state": "chronic"}, "^unknown state 'chronic'"),
+    ({"frequencies_cpm": (4.0,)}, "^mild state needs 2 generator"),
+    ({"amplitudes": (1.0,)}, "^amplitudes and phases must match"),
+    ({"frequencies_cpm": (4.0, 4.0)}, "^generator frequencies must be distinct$"),
+    ({"frequencies_cpm": (4.0, 9.0)}, "^generator frequencies must lie in 3-8 cpm$"),
+    ({"amplitudes": (1.0, 0.0)}, "^generator amplitudes must be positive$"),
+    ({"amplitudes": (1.2, 1.2)}, "^total generator power exceeds the basal budget$"),
+    ({"mixing": np.ones((8, 3))}, r"^mixing must be a \(channels, generators\) matrix$"),
+    ({"mixing": np.zeros((8, 2))}, "^mixing weights must be positive and finite$"),
+    ({"noise_level": -1.0}, "^noise level must be non-negative$"),
+], ids=["state", "count", "amplitudes", "distinct", "band", "positive", "budget",
+        "shape", "weights", "noise"])
+def test_state_model_checks_each_field(change, message):
+    # A mild model has two generators; each change breaks one rule.
+    with pytest.raises(ValueError, match=message):
+        replace(state_model(SMALL, 0, "mild"), **change)

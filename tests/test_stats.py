@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.stats import rankdata
 
-from eggwave import stats
+from eggwave import compression, stats
 from eggwave.compression import CompressionConfig, compress
 from eggwave.io import Cohort, RecordingFile
 from eggwave.simulate import CohortSpec, simulate_cohort
@@ -815,3 +815,43 @@ class TestPrdTableEqualsDirectForm:
         b = state_prds_direct(small_cohort, "severe", wavelet, 3.0, levels)
         expected = [compare_paired(a[ch], b[ch], ch) for ch in sorted(a)]
         assert compare_states(small_cohort, "basal", "severe", wavelet, 3.0, levels) == expected
+
+
+class TestBatteryInputsCheckedFirst:
+    """An input the battery cannot run is rejected before any signal is compressed."""
+
+    @pytest.fixture(scope="class")
+    def cohort(self):
+        return simulate_cohort(CohortSpec(subjects=4, channels=2, duration_s=60.0, seed=3))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda c: compare_states(c, "basal", "basal"),
+         "state pair basal:basal compares a state with itself"),
+        (lambda c: cr_sweep(c, [3.0], pairs=[("basal", "bogus")]),
+         "state pair basal:bogus names a state the cohort does not have"),
+        (lambda c: compare_states(c, "bogus", "basal"),
+         "state pair bogus:basal names a state the cohort does not have"),
+        (lambda c: cr_sweep(c, [3.0], pairs=[("basal", "mild"), ("severe", "severe")]),
+         "state pair severe:severe compares a state with itself"),
+        (lambda c: cr_sweep(c, []), "sweep needs at least one compression ratio"),
+    ], ids=["itself", "unknown-second", "unknown-first", "later-pair", "no-ratios"])
+    def test_compresses_nothing(self, cohort, call, message):
+        block = compression._compress_block
+        with mock.patch.object(compression, "_compress_block", wraps=block) as spy:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(cohort)
+        assert spy.call_count == 0
+
+
+class TestSampleChecks:
+    def test_p_value_outside_the_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"^p-value 1\.5 outside \[0, 1\]$"):
+            stats.TestOutcome("paired-t", 0.0, 1.5)
+
+    def test_two_dimensional_sample_rejected(self):
+        with pytest.raises(ValueError, match="^paired t test expects a 1-D sample$"):
+            paired_t(np.ones((2, 3)))
+
+    def test_non_finite_sample_rejected(self):
+        with pytest.raises(ValueError, match="^paired t test requires finite values$"):
+            paired_t([1.0, np.nan, 2.0])

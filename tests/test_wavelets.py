@@ -580,3 +580,18 @@ class TestSelectScales:
             key=lambda level: abs(pseudo_frequency(f, level, period) - target),
         )
         assert select_scales(f, period, target) == reference
+
+
+@pytest.mark.parametrize("h, message", [
+    ([1.0, 1.0, 1.0], "^low-pass filter must have 2, 4, or 6 taps$"),
+    # admissible and unit-norm, but h0 h2 + h1 h3 = 1/2
+    ([math.sqrt(0.5), 0.0, math.sqrt(0.5), 0.0], "^filter fails double-shift orthonormality$"),
+], ids=["three-taps", "not-orthonormal"])
+def test_filter_pair_rejects_a_bad_low_pass(h, message):
+    with pytest.raises(ValueError, match=message):
+        FilterPair(np.array(h))
+
+
+def test_number_is_not_a_wavelet_spec():
+    with pytest.raises(ValueError, match="^cannot interpret wavelet spec 5$"):
+        resolve_wavelet(5)
