@@ -1,77 +1,12 @@
 """Wavelet-compression screening for gastric electrical uncoupling in EGG recordings."""
 
-from .compression import (
-    CompressionConfig,
-    CompressionResult,
-    compress,
-    keep_largest,
-    prd,
-)
-from .io import (
-    Cohort,
-    Manifest,
-    RecordingFile,
-    load_cohort,
-    read_manifest,
-    read_recording,
-    write_cohort,
-    write_manifest,
-    write_recording,
-)
-from .matcher import (
-    GridSpec,
-    MatchResult,
-    PlaneMinimum,
-    PrdSurface,
-    aggregate_best,
-    match_cohort,
-    prd_surface,
-    refine_surface,
-    surface_minima,
-    surface_to_csv,
-    surface_to_pgm,
-)
-from .simulate import (
-    CohortSpec,
-    StateModel,
-    simulate_cohort,
-    simulate_recording,
-    square_wave_signal,
-    state_model,
-)
-from .stats import (
-    ChannelComparison,
-    SweepPoint,
-    TestOutcome,
-    compare_paired,
-    compare_states,
-    comparisons_to_csv,
-    comparisons_to_text,
-    cr_sweep,
-    detection_rate,
-    lilliefors,
-    paired_t,
-    state_prds,
-    sweep_to_csv,
-    wilcoxon_signed_rank,
-)
-from .wavelets import (
-    COIFLET1_POINT,
-    DAUBECHIES2_POINT,
-    DAUBECHIES3_POINT,
-    HAAR_POINT,
-    DwtCoefficients,
-    FilterPair,
-    Signal,
-    center_frequency,
-    dwt_forward,
-    dwt_inverse,
-    named_wavelet,
-    pollen_filter,
-    pseudo_frequency,
-    resolve_wavelet,
-    select_scales,
-)
+# Each module's __all__ is its one list of public names.
+from .compression import *
+from .io import *
+from .matcher import *
+from .simulate import *
+from .stats import *
+from .wavelets import *
 
 __version__ = "0.1.0"
 

@@ -27,7 +27,7 @@ from .matcher import (
 )
 from .simulate import CohortSpec, simulate_cohort
 from .stats import (
-    _check_level,
+    _battery_settings,
     compare_states,
     comparisons_to_csv,
     comparisons_to_text,
@@ -212,8 +212,7 @@ def stats_command(data, pair, wavelet, cr, depth, alpha, out_csv, out_text):
         raise ValueError(f"pair must look like basal:severe, got {pair!r}")
     # Reject a bad setting before any recording is read.
     wavelet, levels = parse_wavelet(wavelet), parse_depth(depth)
-    CompressionConfig(wavelet=wavelet, cr=cr, levels=levels)
-    _check_level(alpha)
+    _battery_settings([cr], wavelet, levels, alpha)
     cohort = load_cohort(data)
     rows = compare_states(
         cohort, state_a, state_b, wavelet=wavelet, cr=cr, levels=levels, alpha=alpha
@@ -244,9 +243,7 @@ def sweep(data, crs, wavelet, depth, alpha, out):
         raise ValueError(f"crs must be comma-separated numbers, got {crs!r}")
     # Reject a bad setting before any recording is read.
     wavelet, levels = parse_wavelet(wavelet), parse_depth(depth)
-    for cr in ratios:
-        CompressionConfig(wavelet=wavelet, cr=cr, levels=levels)
-    _check_level(alpha)
+    _battery_settings(ratios, wavelet, levels, alpha)
     cohort = load_cohort(data)
     points = cr_sweep(cohort, ratios, wavelet=wavelet, levels=levels, alpha=alpha)
     table = sweep_to_csv(points)

@@ -398,9 +398,10 @@ class Cohort:
         one value per channel in the same order; each value is yielded in
         its own row.  Order is subject (sorted), then state (``states`` as
         given, default :attr:`states`), then channel (``channels`` as
-        given, default each recording's own ids).
+        given, default :attr:`channel_ids`).
 
-        An unknown state or channel id raises ``ValueError`` as is.  Any
+        A missing recording, an unknown channel id or a repeated selection
+        raises ``ValueError`` as is, before ``fn`` is first called.  Any
         other ``ValueError`` is located where it is raised.  One from building
         channel C's signal (a non-finite sample) or from producing its value
         (``fn`` may return a generator) reads ``"subject S, state T, channel
@@ -408,34 +409,36 @@ class Cohort:
         state T: ..."``.  No channel is processed twice to locate an error.
         """
         states = self.states if states is None else list(states)
-        channels = None if channels is None else list(channels)
-        for subject in self.subjects:
-            for state in states:
-                rec = self.get(subject, state)
-                ids = rec.channel_ids if channels is None else channels
-                columns = [rec.channel(ch) for ch in ids]
-                prefix = f"subject {subject}, state {state}"
-                signals = []
-                for ch, column in zip(ids, columns):
-                    try:
-                        signals.append(Signal(column, sample_period_s=1.0 / rec.sample_rate_hz))
-                    except ValueError as error:
-                        raise ValueError(f"{prefix}, channel {ch}: {error}") from error
+        ids = self.channel_ids if channels is None else list(channels)
+        for kind, chosen in (("state", states), ("channel", ids)):
+            if repeated := [x for i, x in enumerate(chosen) if x in chosen[:i]]:
+                raise ValueError(f"{kind} selection repeats {kind} {repeated[0]}")
+        selected = [(subject, state, self.get(subject, state))
+                    for subject in self.subjects for state in states]
+        traces = [[rec.channel(ch) for ch in ids] for _, _, rec in selected]
+        for (subject, state, rec), columns in zip(selected, traces):
+            prefix = f"subject {subject}, state {state}"
+            signals = []
+            for ch, column in zip(ids, columns):
                 try:
-                    values = iter(fn(tuple(signals)))
+                    signals.append(Signal(column, sample_period_s=1.0 / rec.sample_rate_hz))
                 except ValueError as error:
-                    raise ValueError(f"{prefix}: {error}") from error
-                for ch in ids:
-                    try:
-                        value = next(values)
-                    except StopIteration:
-                        raise ValueError(f"{prefix}: fn gave fewer values than channels") from None
-                    except ValueError as error:
-                        raise ValueError(f"{prefix}, channel {ch}: {error}") from error
-                    yield subject, state, ch, value
-                end = object()
-                if next(values, end) is not end:
-                    raise ValueError(f"{prefix}: fn gave more values than channels")
+                    raise ValueError(f"{prefix}, channel {ch}: {error}") from error
+            try:
+                values = iter(fn(tuple(signals)))
+            except ValueError as error:
+                raise ValueError(f"{prefix}: {error}") from error
+            for ch in ids:
+                try:
+                    value = next(values)
+                except StopIteration:
+                    raise ValueError(f"{prefix}: fn gave fewer values than channels") from None
+                except ValueError as error:
+                    raise ValueError(f"{prefix}, channel {ch}: {error}") from error
+                yield subject, state, ch, value
+            end = object()
+            if next(values, end) is not end:
+                raise ValueError(f"{prefix}: fn gave more values than channels")
 
 
 def write_cohort(cohort: Cohort, out_dir) -> Path:

@@ -476,22 +476,29 @@ def _prd_table(cohort: Cohort, states, config: CompressionConfig, crs) -> dict:
     return {key: {ch: np.asarray(v) for ch, v in prds.items()} for key, prds in table.items()}
 
 
-def _battery(cohort: Cohort, crs, pairs, wavelet, levels, alpha: float) -> dict:
-    # {(cr, state_a, state_b): comparison rows over sorted channels}, each
-    # distinct ratio and pair scored once, in first-seen order.  Settings,
-    # then the cohort's size, then each pair's states are checked before any
-    # signal is compressed; a failing channel is named with its pair.
+def _battery_settings(crs, wavelet, levels, alpha: float):
+    # The battery's cohort-free checks: the distinct ratios in first-seen
+    # order, and the compression config of the first one.
     crs = list(dict.fromkeys(crs))
     if not crs:
         raise ValueError("sweep needs at least one compression ratio")
+    configs = [CompressionConfig(wavelet=wavelet, cr=cr, levels=levels) for cr in crs]
+    _check_level(alpha)
+    return crs, configs[0]
+
+
+def _battery(cohort: Cohort, crs, pairs, wavelet, levels, alpha: float) -> dict:
+    # {(cr, state_a, state_b): comparison rows over sorted channels}, each
+    # distinct ratio and pair scored once, in first-seen order.  Settings,
+    # pairs, the cohort's size and each pair's recordings are checked before
+    # any signal is compressed; a failing channel is named with its pair.
+    crs, config = _battery_settings(crs, wavelet, levels, alpha)
     pairs = list(dict.fromkeys(pairs))
     if not pairs:
         raise ValueError("sweep needs at least one state pair")
     for pair in pairs:
         if len(pair) != 2:
             raise ValueError(f"state pair must name two states, got {pair!r}")
-    configs = [CompressionConfig(wavelet=wavelet, cr=cr, levels=levels) for cr in crs]
-    _check_level(alpha)
     count = len(cohort.subjects)
     if count < LILLIEFORS_MIN_VALUES:
         raise ValueError(
@@ -503,8 +510,14 @@ def _battery(cohort: Cohort, crs, pairs, wavelet, levels, alpha: float) -> dict:
             raise ValueError(f"state pair {state_a}:{state_b} compares a state with itself")
         if not {state_a, state_b} <= set(cohort.states):
             raise ValueError(f"state pair {state_a}:{state_b} names a state the cohort does not have")
+        try:
+            for subject in cohort.subjects:
+                for state in (state_a, state_b):
+                    cohort.get(subject, state)
+        except ValueError as error:
+            raise ValueError(f"state pair {state_a}:{state_b}: {error}") from None
     states = list(dict.fromkeys(state for pair in pairs for state in pair))
-    table = _prd_table(cohort, states, configs[0], crs)
+    table = _prd_table(cohort, states, config, crs)
     battery = {}
     for cr in crs:
         for state_a, state_b in pairs:
@@ -546,9 +559,10 @@ def compare_states(
     """Per-channel comparison table between two states of a cohort.
 
     A cohort of fewer than 4 subjects, or a pair that compares a state
-    with itself or names a state the cohort does not have, is rejected
-    before any signal is compressed.  A channel that cannot be compared
-    raises ``ValueError`` naming it and the pair (``"channel C, A:B: ..."``).
+    with itself, names a state the cohort does not have or lacks a
+    subject's recording of either state, is rejected before any signal is
+    compressed.  A channel that cannot be compared raises ``ValueError``
+    naming it and the pair (``"channel C, A:B: ..."``).
     """
     battery = _battery(cohort, [cr], [(state_a, state_b)], wavelet, levels, alpha)
     return battery[(cr, state_a, state_b)]
@@ -567,8 +581,8 @@ def cr_sweep(
     Gives one point per listed ratio and pair, ratio by ratio in the order
     given, then pair by pair; a repeated ratio or pair is scored once and
     its point repeated.  ``pairs`` may be any iterable of two-state pairs.
-    No ratios, no pairs, a pair that does not name two states or one that
-    :func:`compare_states` rejects fails before any signal is compressed.
+    No ratios or pairs, a pair not of two states, or one :func:`compare_states`
+    rejects (missing recordings too) fails before any signal is compressed.
     Cohort size and channel errors are reported as by :func:`compare_states`.
     """
     crs = [float(c) for c in crs]

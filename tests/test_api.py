@@ -1,8 +1,10 @@
 import dataclasses
 import inspect
+import types
 
 import pytest
 
+import eggwave
 from eggwave import (
     Cohort,
     cli,
@@ -12,6 +14,7 @@ from eggwave import (
     Manifest,
     lilliefors,
     load_cohort,
+    matcher,
     paired_t,
     refine_surface,
     simulate,
@@ -83,3 +86,34 @@ def test_outcome_reports_only():
     fields = [f.name for f in dataclasses.fields(stats.TestOutcome)]
     assert fields == ["test_name", "statistic", "p_value"]
     assert not hasattr(stats.TestOutcome("paired-t", 1.0, 0.5), "significant")
+
+
+MODULES = (compression, io, matcher, simulate, stats, wavelets)
+
+
+def test_package_exports_exactly_the_modules_public_names():
+    for module in MODULES:
+        assert isinstance(module.__all__, list), module.__name__
+    public = {
+        name for name, value in vars(eggwave).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    declared = {name for module in MODULES for name in module.__all__}
+    assert public == declared | {"NON_REPRODUCIBILITY_NOTE"}
+    assert eggwave.__version__
+
+
+def test_package_exports_each_modules_public_names():
+    # Each module's __all__ is the one list; the package re-exports it.
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(eggwave, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_no_name_is_public_in_two_modules():
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(names) == len(set(names))
+
+
+def test_cli_runs_the_batterys_own_settings_check():
+    assert not hasattr(cli, "_check_level")

@@ -168,6 +168,13 @@ class TestSurfaceAndMatch:
         assert lines[0] == "subject,channel,a,b,prd_percent"
         assert len(lines) == 1 + 4 + 1
 
+    def test_match_rejects_a_repeated_channel(self, dataset, tmp_path):
+        out = tmp_path / "minima.csv"
+        result = run("match", "--data", dataset, "--grid", "8", "--channels", "7,7", "--out", out)
+        assert result.exit_code == 1
+        assert result.output == "Error: channel selection repeats channel 7\n"
+        assert not out.exists()
+
 
 class TestLocatedErrors:
     def test_compress_names_a_flat_lead(self, tmp_path):

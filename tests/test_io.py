@@ -524,6 +524,23 @@ class TestCohortApply:
         with pytest.raises(ValueError, match=r"^recording has no channel 99"):
             list(make_cohort().apply(len, channels=[99]))
 
+    @pytest.mark.parametrize("states, channels, message", [
+        (None, [7, 8, 7], "channel selection repeats channel 7"),
+        (["basal", "mild", "basal"], None, "state selection repeats state basal"),
+    ], ids=["channel", "state"])
+    def test_repeated_selection_rejected(self, states, channels, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            list(make_cohort().apply(identity, states, channels))
+
+    def test_missing_recording_fails_before_any_call(self):
+        # A gap in a later subject is found before the first recording is processed.
+        recordings = dict(make_cohort().recordings)
+        del recordings[("dog01", "mild")]
+        calls = []
+        with pytest.raises(ValueError, match=r"^cohort has no recording for \(dog01, mild\)$"):
+            list(Cohort(recordings).apply(calls.append))
+        assert calls == []
+
     def test_value_error_from_the_call_names_the_recording_without_a_rerun(self):
         calls = []
 

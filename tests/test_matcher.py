@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from eggwave import matcher
 from eggwave.compression import CompressionConfig, compress
+from eggwave.io import Cohort
 from eggwave.matcher import (
     REFINE_RESOLUTION,
     GridSpec,
@@ -339,6 +340,21 @@ class TestMatchCohort:
         with pytest.raises(ValueError, match=message):
             match_cohort(cohort, "basal", GridSpec(resolution=8), levels=3)
         assert len(calls) == 3
+
+    def test_missing_recording_fails_before_any_scan(self, monkeypatch):
+        cohort = simulate_cohort(CohortSpec(subjects=4, channels=2, duration_s=60.0, seed=3))
+        recordings = {k: v for k, v in cohort.recordings.items() if k != ("dog03", "basal")}
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return compress(*args, **kwargs)
+
+        monkeypatch.setattr(matcher, "compress", counted)
+        message = r"^cohort has no recording for \(dog03, basal\)$"
+        with pytest.raises(ValueError, match=message):
+            match_cohort(Cohort(recordings), "basal", GridSpec(resolution=8))
+        assert calls == []
 
     @pytest.mark.parametrize(
         "setting, message",

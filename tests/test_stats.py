@@ -842,6 +842,27 @@ class TestBatteryInputsCheckedFirst:
                 call(cohort)
         assert spy.call_count == 0
 
+    @pytest.mark.parametrize("call", [
+        lambda c: compare_states(c, "basal", "mild"),
+        lambda c: cr_sweep(c, [3.0, 4.0], pairs=[("basal", "severe"), ("basal", "mild")]),
+    ], ids=["compare", "sweep"])
+    def test_missing_recording_names_its_pair(self, cohort, call):
+        partial = Cohort({k: v for k, v in cohort.recordings.items() if k != ("dog03", "mild")})
+        message = "state pair basal:mild: cohort has no recording for (dog03, mild)"
+        block = compression._compress_block
+        with mock.patch.object(compression, "_compress_block", wraps=block) as spy:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(partial)
+        assert spy.call_count == 0
+
+    @pytest.mark.parametrize("crs, alpha, message", [
+        ([0.5], 0.05, "compression ratio must be at least 1"),
+        ([3.0], 1.0, "significance level must be in (0, 1), got 1.0"),
+    ], ids=["ratio", "alpha"])
+    def test_settings_are_checked_before_the_pairs(self, cohort, crs, alpha, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cr_sweep(cohort, crs, pairs=[("basal",)], alpha=alpha)
+
 
 class TestSampleChecks:
     def test_p_value_outside_the_unit_interval_rejected(self):
