@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-from pathlib import Path
 
 import click
 
 from . import __version__
 from .compression import CompressionConfig, _prd_scores
-from .io import Cohort, load_cohort, read_recording, write_cohort
+from .io import Cohort, _check_outputs, _write_ascii, load_cohort, read_recording, write_cohort
 from .matcher import (
     GridSpec,
     _scan_depth,
@@ -41,16 +40,25 @@ WAVELET_HELP = (
 )
 
 
+def _parse_list(text: str, kind, message: str) -> list:
+    """``kind`` of each comma-separated item of ``text``; any bad item raises ``message``."""
+    try:
+        return [kind(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(message) from None
+
+
+def _save(path, text: str, what: str) -> None:
+    _write_ascii(path, text)
+    click.echo(f"wrote {what} to {path}")
+
+
 def parse_wavelet(text: str):
     if text.startswith("pollen:"):
         body = text[len("pollen:"):]
-        parts = body.split(",")
-        if len(parts) != 2:
+        if body.count(",") != 1:
             raise ValueError(f"pollen wavelet needs two angles, got {body!r}")
-        try:
-            return (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ValueError(f"pollen angles must be numbers, got {body!r}") from None
+        return tuple(_parse_list(body, float, f"pollen angles must be numbers, got {body!r}"))
     return text
 
 
@@ -110,6 +118,7 @@ def compress_command(data, wavelet, cr, depth, out):
     config = CompressionConfig(
         wavelet=parse_wavelet(wavelet), cr=cr, levels=parse_depth(depth)
     )
+    _check_outputs(out)
     cohort = load_cohort(data)
     lines = ["subject,state,channel,kept,total_coefficients,prd_percent"]
     scores = functools.partial(_prd_scores, config=config, crs=[config.cr], work={})
@@ -117,8 +126,7 @@ def compress_command(data, wavelet, cr, depth, out):
         lines.append(f"{subject},{state},{ch},{kept},{total},{value:.6f}")
     table = "\n".join(lines) + "\n"
     if out:
-        Path(out).write_text(table, encoding="ascii", newline="\n")
-        click.echo(f"wrote {len(lines) - 1} rows to {out}")
+        _save(out, table, f"{len(lines) - 1} rows")
     else:
         click.echo(table, nl=False)
 
@@ -136,6 +144,7 @@ def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
     """PRD surface of one recording channel over the filter plane."""
     spec = GridSpec(resolution=grid)
     _scan_depth(cr, depth)  # rejects a bad ratio or depth before any read
+    _check_outputs(out_csv, out_pgm)
     rec = read_recording(recording)
     [(_, _, _, scan)] = Cohort({(rec.subject, rec.state): rec}).apply(
         lambda signals: (_scan_trace(s, spec, cr, depth, refine) for s in signals),
@@ -168,13 +177,10 @@ def match(data, state, grid, cr, depth, channels, refine, out):
     """Best-matching plane point per recording and the cohort aggregate."""
     spec = GridSpec(resolution=grid)
     _scan_depth(cr, depth)  # rejects a bad ratio or depth before any read
-    if channels == "all":
-        selected = None
-    else:
-        try:
-            selected = [int(t) for t in channels.split(",")]
-        except ValueError:
-            raise ValueError(f"channels must be comma-separated ids, got {channels!r}")
+    selected = None if channels == "all" else _parse_list(
+        channels, int, f"channels must be comma-separated ids, got {channels!r}"
+    )
+    _check_outputs(out)
     cohort = load_cohort(data)
     result = match_cohort(
         cohort,
@@ -186,8 +192,7 @@ def match(data, state, grid, cr, depth, channels, refine, out):
         refine=refine,
     )
     if out:
-        Path(out).write_text(minima_to_csv(result), encoding="ascii", newline="\n")
-        click.echo(f"wrote {len(result.minima)} minima to {out}")
+        _save(out, minima_to_csv(result), f"{len(result.minima)} minima")
     a_star, b_star = result.aggregate
     click.echo(
         f"aggregate a* = {a_star:.6f} rad ({a_star / math.pi:+.4f} pi), "
@@ -213,17 +218,16 @@ def stats_command(data, pair, wavelet, cr, depth, alpha, out_csv, out_text):
     # Reject a bad setting before any recording is read.
     wavelet, levels = parse_wavelet(wavelet), parse_depth(depth)
     _battery_settings([cr], wavelet, levels, alpha)
+    _check_outputs(out_csv, out_text)
     cohort = load_cohort(data)
     rows = compare_states(
         cohort, state_a, state_b, wavelet=wavelet, cr=cr, levels=levels, alpha=alpha
     )
     text = comparisons_to_text(rows, alpha=alpha)
     if out_csv:
-        Path(out_csv).write_text(comparisons_to_csv(rows), encoding="ascii", newline="\n")
-        click.echo(f"wrote comparison CSV to {out_csv}")
+        _save(out_csv, comparisons_to_csv(rows), "comparison CSV")
     if out_text:
-        Path(out_text).write_text(text, encoding="ascii", newline="\n")
-        click.echo(f"wrote comparison table to {out_text}")
+        _save(out_text, text, "comparison table")
     click.echo(text, nl=False)
 
 
@@ -237,19 +241,16 @@ def stats_command(data, pair, wavelet, cr, depth, alpha, out_csv, out_text):
 @click.option("--out", type=click.Path(), default=None, help="Sweep curve CSV output.")
 def sweep(data, crs, wavelet, depth, alpha, out):
     """Detection-rate curves over compression ratios."""
-    try:
-        ratios = [float(t) for t in crs.split(",")]
-    except ValueError:
-        raise ValueError(f"crs must be comma-separated numbers, got {crs!r}")
+    ratios = _parse_list(crs, float, f"crs must be comma-separated numbers, got {crs!r}")
     # Reject a bad setting before any recording is read.
     wavelet, levels = parse_wavelet(wavelet), parse_depth(depth)
     _battery_settings(ratios, wavelet, levels, alpha)
+    _check_outputs(out)
     cohort = load_cohort(data)
     points = cr_sweep(cohort, ratios, wavelet=wavelet, levels=levels, alpha=alpha)
     table = sweep_to_csv(points)
     if out:
-        Path(out).write_text(table, encoding="ascii", newline="\n")
-        click.echo(f"wrote sweep curve to {out}")
+        _save(out, table, "sweep curve")
     else:
         click.echo(table, nl=False)
 

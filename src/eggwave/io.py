@@ -41,7 +41,13 @@ _SAMPLE_FORMAT = "%.17g"
 # Frozen, so the channel-id check a Cohort makes holds for the cohort's life.
 @dataclass(frozen=True)
 class RecordingFile:
-    """One multichannel recording: header metadata plus a time-by-channel matrix."""
+    """One multichannel recording: header metadata plus a time-by-channel matrix.
+
+    ``subject`` and ``state`` are stored in the recording's header, in its
+    manifest row and in its file name, so each must be non-empty printable
+    ASCII with no surrounding whitespace, comma, ``/`` or ``\\``, and must
+    not start with ``#``.  Spaces inside a name are kept.
+    """
 
     subject: str
     state: str
@@ -76,6 +82,18 @@ class RecordingFile:
             )
         if not self.subject or not self.state:
             raise ValueError("subject and state must be non-empty")
+        # A name goes into a header line, a manifest row and a file name,
+        # and must read back from each of them as itself.
+        for field, name in (("subject", self.subject), ("state", self.state)):
+            if not (
+                isinstance(name, str) and name.isascii() and name.isprintable()
+                and name == name.strip() and not name.startswith("#")
+                and not any(c in name for c in ",/\\")
+            ):
+                raise ValueError(
+                    f"{field} {name!r} must be printable ASCII with no surrounding "
+                    "whitespace, comma, path separator or leading '#'"
+                )
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "channel_ids", ids)
 
@@ -104,7 +122,6 @@ class RecordingFile:
 
 def write_recording(recording: RecordingFile, path) -> Path:
     """Write a recording as a headered CSV; returns the path written."""
-    path = Path(path)
     lines = [
         f"# subject: {recording.subject}",
         f"# state: {recording.state}",
@@ -118,8 +135,24 @@ def write_recording(recording: RecordingFile, path) -> Path:
     row_format = ",".join([_SAMPLE_FORMAT] * (len(recording.channel_ids) + 1))
     table = np.column_stack([times, recording.samples]).tolist()
     lines.extend(row_format % tuple(row) for row in table)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    return _write_ascii(path, "\n".join(lines) + "\n")
+
+
+def _write_ascii(path, text: str) -> Path:
+    """Write an artifact's text as ASCII with LF line ends; returns its path."""
+    path = Path(path)
+    path.write_text(text, encoding="ascii", newline="\n")
     return path
+
+
+def _check_outputs(*paths) -> None:
+    """Reject each given output path that names a directory or lies outside
+    an existing one, so a command fails before it reads or writes anything."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise ValueError(f"output path {path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"output path {path} is not in an existing directory")
 
 
 def _read_ascii(path: Path) -> str:
@@ -285,8 +318,7 @@ def write_manifest(entries, path, seed=None) -> Path:
     for subject, state, rec_path in entries:
         rel = Path(rec_path).relative_to(path.parent)
         lines.append(f"{subject},{state},{rel.as_posix()}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-    return path
+    return _write_ascii(path, "\n".join(lines) + "\n")
 
 
 def read_manifest(path) -> Manifest:
@@ -350,8 +382,10 @@ def read_manifest(path) -> Manifest:
 class Cohort:
     """In-memory dataset: recordings keyed by (subject, state), all with one set of channel ids.
 
-    ``recordings`` is a read-only view of a private copy of the mapping
-    given, so the channel-id check made here holds for the cohort's life.
+    Each key must be its recording's own ``(subject, state)``, so that the
+    cohort writes a dataset that reads back as itself.  ``recordings`` is a
+    read-only view of a private copy of the mapping given, so the key and
+    channel-id checks made here hold for the cohort's life.
     """
 
     recordings: MappingProxyType
@@ -362,8 +396,13 @@ class Cohort:
         if not recordings:
             raise ValueError("cohort holds no recordings")
         # Every per-channel table is keyed by the first recording's ids.
-        ((first_subject, first_state), first), *rest = recordings.items()
-        for (subject, state), rec in rest:
+        ((first_subject, first_state), first), *_ = recordings.items()
+        for (subject, state), rec in recordings.items():
+            if (subject, state) != (rec.subject, rec.state):
+                raise ValueError(
+                    f"cohort key ({subject}, {state}) holds the recording of "
+                    f"({rec.subject}, {rec.state})"
+                )
             if rec.channel_ids != first.channel_ids:
                 raise ValueError(
                     f"recording ({subject}, {state}) has channel ids {rec.channel_ids}, "
@@ -445,7 +484,9 @@ def write_cohort(cohort: Cohort, out_dir) -> Path:
     """Write every recording plus a manifest under ``out_dir``.
 
     Returns the manifest path.  Layout: ``recordings/<subject>_<state>.csv``
-    with ``manifest.txt`` beside them.
+    with ``manifest.txt`` beside them.  :class:`RecordingFile` and
+    :class:`Cohort` have already checked every name and key, so the
+    dataset written reads back with :func:`load_cohort` as the same cohort.
     """
     out_dir = Path(out_dir)
     rec_dir = out_dir / "recordings"

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .compression import CompressionConfig, compress
-from .io import Cohort
+from .io import Cohort, _write_ascii
 from .wavelets import Signal
 
 __all__ = [
@@ -231,13 +231,11 @@ def match_cohort(
 
 def surface_to_csv(surface: PrdSurface, path) -> Path:
     """Write a surface as ``a,b,prd`` rows (a-major order)."""
-    path = Path(path)
     lines = ["a,b,prd"]
     for i, a in enumerate(surface.a_values):
         for j, b in enumerate(surface.b_values):
             lines.append("%.17g,%.17g,%.17g" % (a, b, surface.prd[i, j]))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-    return path
+    return _write_ascii(path, "\n".join(lines) + "\n")
 
 
 def surface_to_pgm(surface: PrdSurface, path) -> Path:
@@ -246,7 +244,6 @@ def surface_to_pgm(surface: PrdSurface, path) -> Path:
     Rows run from the largest ``b`` down to the smallest (image
     convention); columns run across ``a``.
     """
-    path = Path(path)
     prd = surface.prd
     lo, hi = float(prd.min()), float(prd.max())
     if hi > lo:
@@ -256,8 +253,7 @@ def surface_to_pgm(surface: PrdSurface, path) -> Path:
     lines = ["P2", f"{prd.shape[0]} {prd.shape[1]}", "255"]
     for j in range(prd.shape[1] - 1, -1, -1):
         lines.append(" ".join(str(gray[i, j]) for i in range(prd.shape[0])))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-    return path
+    return _write_ascii(path, "\n".join(lines) + "\n")
 
 
 def minima_to_csv(result: MatchResult) -> str:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from eggwave import cli
 from eggwave.cli import main, parse_wavelet
 from eggwave.io import read_recording, write_recording
 
@@ -365,3 +366,54 @@ def test_sweep_without_out_prints_the_curve(dataset):
     assert [l.split(",")[:3] for l in lines[1:]] == [
         ["3", "basal", "mild"], ["3", "basal", "severe"]
     ]
+
+
+class TestOutputPaths:
+    """An output path that cannot be written is rejected before any read or write."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+
+        def spy(name, real):
+            def called(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return called
+
+        for name in ("load_cohort", "read_recording"):
+            monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+        return calls
+
+    @pytest.mark.parametrize("args, bad", [
+        (["compress", "--out", "{missing}"], "{missing}"),
+        (["compress", "--out", "{dir}"], "{dir}"),
+        (["stats", "--out-csv", "{ok}", "--out-text", "{missing}"], "{missing}"),
+        (["stats", "--out-csv", "{dir}", "--out-text", "{ok}"], "{dir}"),
+        (["sweep", "--crs", "3", "--out", "{under_file}"], "{under_file}"),
+        (["surface", "--out-csv", "{ok}", "--out-pgm", "{missing}"], "{missing}"),
+        (["surface", "--out-csv", "{dir}"], "{dir}"),
+        (["match", "--grid", "8", "--channels", "7", "--out", "{missing}"], "{missing}"),
+    ], ids=["compress-missing", "compress-dir", "stats-text", "stats-csv-dir", "sweep-under-file",
+            "surface-pgm", "surface-dir", "match-missing"])
+    def test_bad_output_path_reads_and_writes_nothing(self, dataset, tmp_path, reads, args, bad):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file.txt").write_text("x")
+        paths = {
+            "missing": tmp_path / "nodir" / "out.csv",
+            "dir": tmp_path / "dir",
+            "under_file": tmp_path / "file.txt" / "out.csv",
+            "ok": tmp_path / "ok.csv",
+        }
+        before = sorted(tmp_path.rglob("*"))
+        if args[0] == "surface":
+            source = ["--recording", dataset.parent / "recordings" / "dog00_basal.csv",
+                      "--channel", "7", "--grid", "8"]
+        else:
+            source = ["--data", dataset]
+        result = run(args[0], *source, *(a.format(**paths) for a in args[1:]))
+        assert result.exit_code == 1
+        problem = "is a directory" if bad == "{dir}" else "is not in an existing directory"
+        assert result.output == f"Error: output path {bad.format(**paths)} {problem}\n"
+        assert reads == []
+        assert sorted(tmp_path.rglob("*")) == before

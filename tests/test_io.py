@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 from dataclasses import FrozenInstanceError
@@ -796,3 +797,56 @@ class TestPlainChecks:
             ("dog01", "basal"), ("dog01", "severe"),
         ]
         assert not (tmp_path / "recordings" / "dog01_mild.csv").exists()
+
+
+NAME_RULE = (
+    "must be printable ASCII with no surrounding whitespace, comma, "
+    "path separator or leading '#'"
+)
+UNSTORABLE_NAMES = {
+    "comment": "#dog00",
+    "comma": "dog,00",
+    "newline": "dog00\nx",
+    "carriage-return": "dog00\r",
+    "tab": "dog\t00",
+    "leading-space": " dog00",
+    "trailing-space": "dog00 ",
+    "non-ascii": "dög",
+    "slash": "a/b",
+    "backslash": "a\\b",
+}
+
+
+class TestStorableNames:
+    """A subject or state must read back from the files it is written to as itself."""
+
+    @pytest.mark.parametrize("field", ["subject", "state"])
+    @pytest.mark.parametrize("name", UNSTORABLE_NAMES.values(), ids=UNSTORABLE_NAMES.keys())
+    def test_unstorable_name_rejected(self, field, name):
+        message = f"^{re.escape(f'{field} {name!r} {NAME_RULE}')}$"
+        with pytest.raises(ValueError, match=message):
+            make_recording(**{field: name}, n=4)
+
+    def test_space_inside_a_name_is_kept_but_not_around_it(self, tmp_path):
+        cohort = Cohort({("dog 00", "basal"): make_recording("dog 00", "basal", n=4)})
+        reloaded = load_cohort(write_cohort(cohort, tmp_path))
+        assert list(reloaded.recordings) == [("dog 00", "basal")]
+        with pytest.raises(ValueError, match=f"^subject 'dog 00 ' {NAME_RULE}$"):
+            make_recording("dog 00 ", "basal", n=4)
+
+    def test_reader_names_the_file_of_an_unstorable_name(self, tmp_path):
+        path = write_recording(make_recording(n=4), tmp_path / "r.csv")
+        path.write_text(path.read_text().replace("# subject: dog00", "# subject: #dog00"))
+        message = re.escape(f"{path}: subject '#dog00' {NAME_RULE}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_recording(path)
+
+
+class TestCohortKeys:
+    @pytest.mark.parametrize("key", [("dog00", "basal"), ("dog01", "severe")], ids=["first", "later"])
+    def test_key_must_name_its_recording(self, key):
+        recordings = dict(make_cohort().recordings)
+        recordings[key] = recordings[("dog01", "mild")]
+        message = rf"^cohort key \({key[0]}, {key[1]}\) holds the recording of \(dog01, mild\)$"
+        with pytest.raises(ValueError, match=message):
+            Cohort(recordings)
