@@ -118,7 +118,7 @@ def compress_command(data, wavelet, cr, depth, out):
     config = CompressionConfig(
         wavelet=parse_wavelet(wavelet), cr=cr, levels=parse_depth(depth)
     )
-    _check_outputs(out)
+    _check_outputs(data, out)
     cohort = load_cohort(data)
     lines = ["subject,state,channel,kept,total_coefficients,prd_percent"]
     scores = functools.partial(_prd_scores, config=config, crs=[config.cr], work={})
@@ -136,15 +136,15 @@ def compress_command(data, wavelet, cr, depth, out):
 @click.option("--channel", required=True, type=int, help="Channel id to scan.")
 @click.option("--grid", default=64, show_default=True, help="Grid resolution per axis.")
 @click.option("--cr", default=3.0, show_default=True, help="Compression ratio.")
-@click.option("--depth", default=6, show_default=True, type=int, help="Decomposition depth.")
+@click.option("--depth", default="6", show_default=True, help="Decomposition depth.")
 @click.option("--refine", is_flag=True, help="Re-scan one cell around the minimum.")
 @click.option("--out-csv", type=click.Path(), default=None, help="Surface CSV output.")
 @click.option("--out-pgm", type=click.Path(), default=None, help="Surface PGM raster output.")
 def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
     """PRD surface of one recording channel over the filter plane."""
     spec = GridSpec(resolution=grid)
-    _scan_depth(cr, depth)  # rejects a bad ratio or depth before any read
-    _check_outputs(out_csv, out_pgm)
+    depth = _scan_depth(cr, parse_depth(depth))  # rejects a bad ratio or depth before any read
+    _check_outputs(recording, out_csv, out_pgm)
     rec = read_recording(recording)
     [(_, _, _, scan)] = Cohort({(rec.subject, rec.state): rec}).apply(
         lambda signals: (_scan_trace(s, spec, cr, depth, refine) for s in signals),
@@ -152,11 +152,9 @@ def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
     )
     a, b, value = scan.argmin
     if out_csv:
-        surface_to_csv(scan, out_csv)
-        click.echo(f"wrote surface CSV to {out_csv}")
+        _save(out_csv, surface_to_csv(scan), "surface CSV")
     if out_pgm:
-        surface_to_pgm(scan, out_pgm)
-        click.echo(f"wrote surface raster to {out_pgm}")
+        _save(out_pgm, surface_to_pgm(scan), "surface raster")
     click.echo(
         f"minimum PRD {value:.6f} % at a={a:.6f} rad ({a / math.pi:+.4f} pi), "
         f"b={b:.6f} rad ({b / math.pi:+.4f} pi)"
@@ -168,7 +166,7 @@ def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
 @click.option("--state", default="basal", show_default=True, help="State to match against.")
 @click.option("--grid", default=64, show_default=True, help="Grid resolution per axis.")
 @click.option("--cr", default=3.0, show_default=True, help="Compression ratio.")
-@click.option("--depth", default=6, show_default=True, type=int, help="Decomposition depth.")
+@click.option("--depth", default="6", show_default=True, help="Decomposition depth.")
 @click.option("--channels", default="all", show_default=True,
               help="Comma-separated channel ids, or 'all'.")
 @click.option("--refine", is_flag=True, help="Refine each per-recording minimum.")
@@ -176,11 +174,11 @@ def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
 def match(data, state, grid, cr, depth, channels, refine, out):
     """Best-matching plane point per recording and the cohort aggregate."""
     spec = GridSpec(resolution=grid)
-    _scan_depth(cr, depth)  # rejects a bad ratio or depth before any read
+    depth = _scan_depth(cr, parse_depth(depth))  # rejects a bad ratio or depth before any read
     selected = None if channels == "all" else _parse_list(
         channels, int, f"channels must be comma-separated ids, got {channels!r}"
     )
-    _check_outputs(out)
+    _check_outputs(data, out)
     cohort = load_cohort(data)
     result = match_cohort(
         cohort,
@@ -218,7 +216,7 @@ def stats_command(data, pair, wavelet, cr, depth, alpha, out_csv, out_text):
     # Reject a bad setting before any recording is read.
     wavelet, levels = parse_wavelet(wavelet), parse_depth(depth)
     _battery_settings([cr], wavelet, levels, alpha)
-    _check_outputs(out_csv, out_text)
+    _check_outputs(data, out_csv, out_text)
     cohort = load_cohort(data)
     rows = compare_states(
         cohort, state_a, state_b, wavelet=wavelet, cr=cr, levels=levels, alpha=alpha
@@ -245,7 +243,7 @@ def sweep(data, crs, wavelet, depth, alpha, out):
     # Reject a bad setting before any recording is read.
     wavelet, levels = parse_wavelet(wavelet), parse_depth(depth)
     _battery_settings(ratios, wavelet, levels, alpha)
-    _check_outputs(out)
+    _check_outputs(data, out)
     cohort = load_cohort(data)
     points = cr_sweep(cohort, ratios, wavelet=wavelet, levels=levels, alpha=alpha)
     table = sweep_to_csv(points)

@@ -132,10 +132,15 @@ def write_recording(recording: RecordingFile, path) -> Path:
     ]
     # arange(n) * period is the same IEEE product as i * period.
     times = np.arange(recording.n_samples) * (1.0 / recording.sample_rate_hz)
-    row_format = ",".join([_SAMPLE_FORMAT] * (len(recording.channel_ids) + 1))
-    table = np.column_stack([times, recording.samples]).tolist()
-    lines.extend(row_format % tuple(row) for row in table)
-    return _write_ascii(path, "\n".join(lines) + "\n")
+    body = _float_rows(np.column_stack([times, recording.samples]))
+    return _write_ascii(path, "\n".join(lines) + "\n" + body)
+
+
+def _float_rows(matrix) -> str:
+    """A float matrix as CSV rows, each value in 17 significant digits so it
+    reads back bit-exact, and each row ending in LF."""
+    row = ",".join([_SAMPLE_FORMAT] * matrix.shape[1]) + "\n"
+    return (row * matrix.shape[0]) % tuple(matrix.ravel().tolist())
 
 
 def _write_ascii(path, text: str) -> Path:
@@ -145,14 +150,22 @@ def _write_ascii(path, text: str) -> Path:
     return path
 
 
-def _check_outputs(*paths) -> None:
-    """Reject each given output path that names a directory or lies outside
-    an existing one, so a command fails before it reads or writes anything."""
+def _check_outputs(source, *paths) -> None:
+    """Reject each given output path that names a directory, lies outside an
+    existing one, or resolves to the same file as the command's input
+    ``source`` or as an earlier output path, so a command fails before it
+    reads or writes anything.  Empty paths (an output not asked for) are
+    skipped."""
+    taken = {Path(source).resolve(): f"the input {source}"}
     for path in filter(None, paths):
         if Path(path).is_dir():
             raise ValueError(f"output path {path} is a directory")
         if not Path(path).parent.is_dir():
             raise ValueError(f"output path {path} is not in an existing directory")
+        resolved = Path(path).resolve()
+        if resolved in taken:
+            raise ValueError(f"output path {path} names the same file as {taken[resolved]}")
+        taken[resolved] = f"output path {path}"
 
 
 def _read_ascii(path: Path) -> str:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .compression import CompressionConfig, compress
-from .io import Cohort, _write_ascii
+from .io import Cohort, _float_rows
 from .wavelets import Signal
 
 __all__ = [
@@ -229,17 +228,15 @@ def match_cohort(
     return MatchResult(minima=tuple(minima), cr=float(cr), levels=levels)
 
 
-def surface_to_csv(surface: PrdSurface, path) -> Path:
-    """Write a surface as ``a,b,prd`` rows (a-major order)."""
-    lines = ["a,b,prd"]
-    for i, a in enumerate(surface.a_values):
-        for j, b in enumerate(surface.b_values):
-            lines.append("%.17g,%.17g,%.17g" % (a, b, surface.prd[i, j]))
-    return _write_ascii(path, "\n".join(lines) + "\n")
+def surface_to_csv(surface: PrdSurface) -> str:
+    """Render a surface as CSV: an ``a,b,prd`` header, then one row per node
+    in a-major order, each value in 17 significant digits (bit-exact)."""
+    a, b = np.meshgrid(surface.a_values, surface.b_values, indexing="ij")
+    return "a,b,prd\n" + _float_rows(np.column_stack([a.ravel(), b.ravel(), surface.prd.ravel()]))
 
 
-def surface_to_pgm(surface: PrdSurface, path) -> Path:
-    """Write a surface as an ASCII PGM raster, low PRD rendered dark.
+def surface_to_pgm(surface: PrdSurface) -> str:
+    """Render a surface as the text of an ASCII PGM raster, low PRD dark.
 
     Rows run from the largest ``b`` down to the smallest (image
     convention); columns run across ``a``.
@@ -253,7 +250,7 @@ def surface_to_pgm(surface: PrdSurface, path) -> Path:
     lines = ["P2", f"{prd.shape[0]} {prd.shape[1]}", "255"]
     for j in range(prd.shape[1] - 1, -1, -1):
         lines.append(" ".join(str(gray[i, j]) for i in range(prd.shape[0])))
-    return _write_ascii(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def minima_to_csv(result: MatchResult) -> str:

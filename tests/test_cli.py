@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -357,6 +359,21 @@ class TestParsers:
         assert result.exit_code == 1
         assert result.output == "Error: depth must be an integer or 'auto', got 'seven'\n"
 
+    @pytest.mark.parametrize("depth, message", [
+        ("seven", "depth must be an integer or 'auto', got 'seven'"),
+        ("auto", "a plane scan needs an integer depth, got 'auto'"),
+    ], ids=["word", "auto"])
+    @pytest.mark.parametrize("args", [
+        ["surface", "--recording", "{missing}", "--channel", "7"],
+        ["match", "--data", "{missing}"],
+    ], ids=["surface", "match"])
+    def test_scan_depth_word_is_a_data_error(self, tmp_path, args, depth, message):
+        # The input does not exist, so any read would fail with another message.
+        missing = tmp_path / "missing.csv"
+        result = run(*(a.format(missing=missing) for a in args), "--depth", depth)
+        assert result.exit_code == 1
+        assert result.output == f"Error: {message}\n"
+
 
 def test_sweep_without_out_prints_the_curve(dataset):
     result = run("sweep", "--data", dataset, "--crs", "3")
@@ -417,3 +434,51 @@ class TestOutputPaths:
         assert result.output == f"Error: output path {bad.format(**paths)} {problem}\n"
         assert reads == []
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.fixture
+    def own_cohort(self, dataset, tmp_path):
+        # A private copy, so a command that overwrote its input harms no other test.
+        shutil.copytree(dataset.parent, tmp_path / "c")
+        return tmp_path / "c"
+
+    @staticmethod
+    def snapshot(root):
+        return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+    @pytest.mark.parametrize("args, taken", [
+        (["stats", "--data", "{manifest}", "--out-csv", "{same}", "--out-text", "{again}"],
+         "output path {same}"),
+        (["surface", "--recording", "{recording}", "--channel", "7", "--grid", "8",
+          "--out-csv", "{same}", "--out-pgm", "{again}"], "output path {same}"),
+        (["compress", "--data", "{manifest}", "--out", "{manifest_alias}"], "the input {manifest}"),
+        (["stats", "--data", "{manifest}", "--out-csv", "{ok}", "--out-text", "{manifest_alias}"],
+         "the input {manifest}"),
+        (["sweep", "--data", "{manifest}", "--crs", "3", "--out", "{manifest_alias}"],
+         "the input {manifest}"),
+        (["match", "--data", "{manifest}", "--grid", "8", "--channels", "7",
+          "--out", "{manifest_alias}"], "the input {manifest}"),
+        (["surface", "--recording", "{recording}", "--channel", "7", "--grid", "8",
+          "--out-csv", "{ok}", "--out-pgm", "{recording_alias}"], "the input {recording}"),
+    ], ids=["stats-outputs", "surface-outputs", "compress-input", "stats-input", "sweep-input",
+            "match-input", "surface-input"])
+    def test_output_naming_a_taken_file_reads_and_writes_nothing(
+        self, own_cohort, tmp_path, reads, args, taken
+    ):
+        paths = {
+            "manifest": own_cohort / "manifest.txt",
+            "manifest_alias": f"{tmp_path}/c/../c/manifest.txt",
+            "recording": own_cohort / "recordings" / "dog00_basal.csv",
+            "recording_alias": f"{own_cohort}/recordings/./dog00_basal.csv",
+            "same": tmp_path / "s.x",
+            "again": f"{tmp_path}/c/../s.x",
+            "ok": tmp_path / "ok.csv",
+        }
+        before = self.snapshot(tmp_path)
+        result = run(*(a.format(**paths) for a in args))
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: output path {args[-1].format(**paths)} names the same file as "
+            f"{taken.format(**paths)}\n"
+        )
+        assert reads == []
+        assert self.snapshot(tmp_path) == before

@@ -376,10 +376,9 @@ class TestMatchCohort:
 
 
 class TestExports:
-    def test_surface_csv_round_trip(self, tmp_path, square_surface):
+    def test_surface_csv_round_trip(self, square_surface):
         _, surface = square_surface
-        path = surface_to_csv(surface, tmp_path / "surface.csv")
-        rows = path.read_text().splitlines()
+        rows = surface_to_csv(surface).splitlines()
         assert rows[0] == "a,b,prd"
         assert len(rows) == 1 + 16 * 16
         a, b, value = (float(t) for t in rows[1].split(","))
@@ -387,10 +386,9 @@ class TestExports:
         assert b == surface.b_values[0]
         assert value == surface.prd[0, 0]
 
-    def test_surface_pgm_format(self, tmp_path, square_surface):
+    def test_surface_pgm_format(self, square_surface):
         _, surface = square_surface
-        path = surface_to_pgm(surface, tmp_path / "surface.pgm")
-        lines = path.read_text().splitlines()
+        lines = surface_to_pgm(surface).splitlines()
         assert lines[0] == "P2"
         assert lines[1] == "16 16"
         assert lines[2] == "255"
@@ -398,10 +396,9 @@ class TestExports:
         assert pixels.shape == (16, 16)
         assert pixels.min() == 0 and pixels.max() == 255
 
-    def test_flat_surface_renders_black(self, tmp_path):
+    def test_flat_surface_renders_black(self):
         surface = fake_surface(np.ones((8, 8)))
-        path = surface_to_pgm(surface, tmp_path / "flat.pgm")
-        pixels = [int(v) for line in path.read_text().splitlines()[3:] for v in line.split()]
+        pixels = [int(v) for line in surface_to_pgm(surface).splitlines()[3:] for v in line.split()]
         assert set(pixels) == {0}
 
 
