@@ -14,7 +14,15 @@ import click
 
 from . import __version__
 from .compression import CompressionConfig, _prd_scores
-from .io import Cohort, _check_outputs, _write_ascii, load_cohort, read_recording, write_cohort
+from .io import (
+    Cohort,
+    _check_outputs,
+    _write_ascii,
+    load_cohort,
+    read_manifest,
+    read_recording,
+    write_cohort,
+)
 from .matcher import (
     GridSpec,
     _scan_depth,
@@ -51,6 +59,15 @@ def _parse_list(text: str, kind, message: str) -> list:
 def _save(path, text: str, what: str) -> None:
     _write_ascii(path, text)
     click.echo(f"wrote {what} to {path}")
+
+
+def _load_cohort(data, *outputs) -> Cohort:
+    """The cohort the manifest ``data`` lists, once no output path clashes
+    with the manifest, a recording it lists, a directory or another output;
+    so a clash is reported before any recording is read."""
+    listed = [path for _, _, path in read_manifest(data).entries]
+    _check_outputs([data, *listed], *outputs)
+    return load_cohort(data)
 
 
 def parse_wavelet(text: str):
@@ -118,8 +135,7 @@ def compress_command(data, wavelet, cr, depth, out):
     config = CompressionConfig(
         wavelet=parse_wavelet(wavelet), cr=cr, levels=parse_depth(depth)
     )
-    _check_outputs(data, out)
-    cohort = load_cohort(data)
+    cohort = _load_cohort(data, out)
     lines = ["subject,state,channel,kept,total_coefficients,prd_percent"]
     scores = functools.partial(_prd_scores, config=config, crs=[config.cr], work={})
     for subject, state, ch, (total, [kept], [value]) in cohort.apply(scores):
@@ -144,7 +160,7 @@ def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
     """PRD surface of one recording channel over the filter plane."""
     spec = GridSpec(resolution=grid)
     depth = _scan_depth(cr, parse_depth(depth))  # rejects a bad ratio or depth before any read
-    _check_outputs(recording, out_csv, out_pgm)
+    _check_outputs([recording], out_csv, out_pgm)
     rec = read_recording(recording)
     [(_, _, _, scan)] = Cohort({(rec.subject, rec.state): rec}).apply(
         lambda signals: (_scan_trace(s, spec, cr, depth, refine) for s in signals),
@@ -178,8 +194,7 @@ def match(data, state, grid, cr, depth, channels, refine, out):
     selected = None if channels == "all" else _parse_list(
         channels, int, f"channels must be comma-separated ids, got {channels!r}"
     )
-    _check_outputs(data, out)
-    cohort = load_cohort(data)
+    cohort = _load_cohort(data, out)
     result = match_cohort(
         cohort,
         state,
@@ -216,8 +231,7 @@ def stats_command(data, pair, wavelet, cr, depth, alpha, out_csv, out_text):
     # Reject a bad setting before any recording is read.
     wavelet, levels = parse_wavelet(wavelet), parse_depth(depth)
     _battery_settings([cr], wavelet, levels, alpha)
-    _check_outputs(data, out_csv, out_text)
-    cohort = load_cohort(data)
+    cohort = _load_cohort(data, out_csv, out_text)
     rows = compare_states(
         cohort, state_a, state_b, wavelet=wavelet, cr=cr, levels=levels, alpha=alpha
     )
@@ -243,8 +257,7 @@ def sweep(data, crs, wavelet, depth, alpha, out):
     # Reject a bad setting before any recording is read.
     wavelet, levels = parse_wavelet(wavelet), parse_depth(depth)
     _battery_settings(ratios, wavelet, levels, alpha)
-    _check_outputs(data, out)
-    cohort = load_cohort(data)
+    cohort = _load_cohort(data, out)
     points = cr_sweep(cohort, ratios, wavelet=wavelet, levels=levels, alpha=alpha)
     table = sweep_to_csv(points)
     if out:

@@ -11,6 +11,7 @@ together by a flat manifest listing one recording file per
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -150,22 +151,33 @@ def _write_ascii(path, text: str) -> Path:
     return path
 
 
-def _check_outputs(source, *paths) -> None:
+def _check_outputs(inputs, *paths) -> None:
     """Reject each given output path that names a directory, lies outside an
-    existing one, or resolves to the same file as the command's input
-    ``source`` or as an earlier output path, so a command fails before it
-    reads or writes anything.  Empty paths (an output not asked for) are
-    skipped."""
-    taken = {Path(source).resolve(): f"the input {source}"}
+    existing one, or is the same file as one of the command's ``inputs`` (its
+    ``--data`` or ``--recording`` path, and the recordings a manifest lists)
+    or as an earlier output path, so a command fails before it writes
+    anything.  Two paths that both exist are the same file when they share a
+    device and inode, as :func:`os.path.samefile` decides, so a hard link to
+    an input is that input; otherwise their resolved paths are compared.
+    Empty paths (an output not asked for) are skipped."""
+    taken = {_file_key(path): f"the input {path}" for path in inputs}
     for path in filter(None, paths):
         if Path(path).is_dir():
             raise ValueError(f"output path {path} is a directory")
         if not Path(path).parent.is_dir():
             raise ValueError(f"output path {path} is not in an existing directory")
-        resolved = Path(path).resolve()
-        if resolved in taken:
-            raise ValueError(f"output path {path} names the same file as {taken[resolved]}")
-        taken[resolved] = f"output path {path}"
+        key = _file_key(path)
+        if key in taken:
+            raise ValueError(f"output path {path} names the same file as {taken[key]}")
+        taken[key] = f"output path {path}"
+
+
+def _file_key(path):
+    try:
+        status = os.stat(path)
+    except OSError:
+        return Path(path).resolve()
+    return status.st_dev, status.st_ino
 
 
 def _read_ascii(path: Path) -> str:
@@ -179,26 +191,27 @@ def _read_ascii(path: Path) -> str:
         ) from None
 
 
-def _parse_header(lines, path):
+def _read_table(path: Path):
+    """Read the layout recordings and manifests share: leading ``# key:
+    value`` header lines, one column line, then rows (a later ``#`` line is a
+    row).  Blank lines are skipped but counted.  Returns ``(fields, columns,
+    rows)``: ``fields`` maps each key to ``(line_no, value)``, ``columns`` is
+    the column line's ``(line_no, text)`` and ``rows`` lists each row's.  A
+    header line without a colon, a repeated key or a missing column line is
+    rejected."""
+    numbered = [(i, line) for i, line in enumerate(_read_ascii(path).splitlines(), 1) if line]
     fields = {}
-    body_start = 0
-    for i, line in enumerate(lines):
+    for n, (line_no, line) in enumerate(numbered):
         if not line.startswith("#"):
-            body_start = i
-            break
+            return fields, numbered[n], numbered[n + 1 :]
         key, sep, value = line[1:].partition(":")
         if not sep:
-            raise ValueError(f"{path}: line {i + 1}: malformed header line {line!r}")
+            raise ValueError(f"{path}: line {line_no}: malformed header line {line!r}")
         key = key.strip()
         if key in fields:
-            raise ValueError(f"{path}: line {i + 1}: repeated header field {key!r}")
-        fields[key] = value.strip()
-    else:
-        raise ValueError(f"{path}: no data rows after the header")
-    for required in ("subject", "state", "sample_rate_hz", "channels"):
-        if required not in fields:
-            raise ValueError(f"{path}: missing header field '{required}'")
-    return fields, body_start
+            raise ValueError(f"{path}: line {line_no}: repeated header field {key!r}")
+        fields[key] = (line_no, value.strip())
+    raise ValueError(f"{path}: no data rows after the header")
 
 
 def _parse_cell(token, path, line_no, column_no):
@@ -215,12 +228,9 @@ def _parse_cell(token, path, line_no, column_no):
     return value
 
 
-def _parse_body(body, path, first_line_no, n_columns):
+def _parse_body(numbered, path, n_columns):
     rows = []
-    for offset, line in enumerate(body):
-        if not line:
-            continue
-        line_no = first_line_no + offset
+    for line_no, line in numbered:
         tokens = line.split(",")
         if len(tokens) != n_columns:
             raise ValueError(
@@ -248,8 +258,11 @@ def read_recording(path) -> RecordingFile:
     grid (more than half a period from ``i / sample_rate_hz``) with
     line/column diagnostics."""
     path = Path(path)
-    lines = _read_ascii(path).splitlines()
-    fields, body_start = _parse_header(lines, path)
+    header, (column_no, columns), rows = _read_table(path)
+    fields = {key: value for key, (_, value) in header.items()}
+    for required in ("subject", "state", "sample_rate_hz", "channels"):
+        if required not in fields:
+            raise ValueError(f"{path}: missing header field '{required}'")
 
     try:
         channel_ids = tuple(int(t) for t in fields["channels"].split(","))
@@ -258,17 +271,15 @@ def read_recording(path) -> RecordingFile:
     sample_rate = _parse_header_number(fields, "sample_rate_hz", path)
 
     expected_columns = "time_s," + ",".join(f"ch{c}" for c in channel_ids)
-    if lines[body_start] != expected_columns:
+    if columns != expected_columns:
         raise ValueError(
-            f"{path}: line {body_start + 1}: column header "
-            f"{lines[body_start]!r} does not match channels; expected {expected_columns!r}"
+            f"{path}: line {column_no}: column header "
+            f"{columns!r} does not match channels; expected {expected_columns!r}"
         )
 
-    body = lines[body_start + 1 :]
-    first_line_no = body_start + 2
-    line_nos = [first_line_no + i for i, line in enumerate(body) if line]
-    if not line_nos:
+    if not rows:
         raise ValueError(f"{path}: no data rows after the header")
+    line_nos, body = zip(*rows)
     n_columns = len(channel_ids) + 1
     # Fast path; anything it cannot read as a full finite table goes
     # through the per-cell parser, which names the offending cell.
@@ -281,7 +292,7 @@ def read_recording(path) -> RecordingFile:
         or matrix.shape != (len(line_nos), n_columns)
         or not np.isfinite(matrix).all()
     ):
-        matrix = _parse_body(body, path, first_line_no, n_columns)
+        matrix = _parse_body(rows, path, n_columns)
     try:
         recording = RecordingFile(
             subject=fields["subject"],
@@ -337,40 +348,31 @@ def write_manifest(entries, path, seed=None) -> Path:
 def read_manifest(path) -> Manifest:
     """Read a manifest and resolve its recording paths.
 
-    Duplicate (subject, state) entries are rejected; missing recording
-    files are all reported in a single error.
+    A manifest has the layout :func:`_read_table` reads: an optional
+    ``# seed:`` header line (an integer; other header keys are ignored), the
+    column line ``subject,state,path`` and one row per recording.  Duplicate
+    (subject, state) entries are rejected; missing recording files are all
+    reported in a single error.
     """
     path = Path(path)
-    lines = _read_ascii(path).splitlines()
+    fields, (column_no, columns), rows = _read_table(path)
     seed = None
+    if "seed" in fields:
+        line_no, value = fields["seed"]
+        try:
+            seed = int(value)
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: malformed seed {value!r}") from None
+    if columns != "subject,state,path":
+        raise ValueError(
+            f"{path}: line {column_no}: expected 'subject,state,path' header, got {columns!r}"
+        )
     entries = []
     seen = set()
-    header_seen = False
-    for i, line in enumerate(lines):
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            if key.strip() == "seed":
-                if seed is not None:
-                    raise ValueError(f"{path}: line {i + 1}: repeated header field 'seed'")
-                try:
-                    seed = int(value.strip())
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {i + 1}: malformed seed {value.strip()!r}"
-                    ) from None
-            continue
-        if not header_seen:
-            if line != "subject,state,path":
-                raise ValueError(
-                    f"{path}: line {i + 1}: expected 'subject,state,path' header, got {line!r}"
-                )
-            header_seen = True
-            continue
+    for line_no, line in rows:
         tokens = line.split(",")
         if len(tokens) != 3:
-            raise ValueError(f"{path}: line {i + 1}: expected 3 fields, found {len(tokens)}")
+            raise ValueError(f"{path}: line {line_no}: expected 3 fields, found {len(tokens)}")
         subject, state, rel = (t.strip() for t in tokens)
         if (subject, state) in seen:
             raise ValueError(f"{path}: duplicate entry for ({subject}, {state})")
@@ -378,7 +380,7 @@ def read_manifest(path) -> Manifest:
         try:
             rec_path = (path.parent / rel).resolve()
         except ValueError as error:  # e.g. an embedded NUL byte
-            raise ValueError(f"{path}: line {i + 1}: bad recording path {rel!r}: {error}") from None
+            raise ValueError(f"{path}: line {line_no}: bad recording path {rel!r}: {error}") from None
         entries.append((subject, state, rec_path))
     if not entries:
         raise ValueError(f"{path}: manifest lists no recordings")

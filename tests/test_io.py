@@ -850,3 +850,54 @@ class TestCohortKeys:
         message = rf"^cohort key \({key[0]}, {key[1]}\) holds the recording of \(dog01, mild\)$"
         with pytest.raises(ValueError, match=message):
             Cohort(recordings)
+
+
+class TestSharedLayout:
+    """Recordings and manifests follow one grammar: leading ``# key: value``
+    lines, one column line, then rows; blank lines are skipped but counted."""
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        write_recording(make_recording(n=4), tmp_path / "r.csv")
+        return tmp_path / "manifest.txt"
+
+    @pytest.mark.parametrize("text, message", [
+        ("\n# made by hand\nsubject,state,path\ndog00,basal,r.csv\n",
+         "line 2: malformed header line '# made by hand'"),
+        ("subject,state,path\n# seed: 9\ndog00,basal,r.csv\n", "line 2: expected 3 fields, found 1"),
+        ("subject,state,path\ndog00,basal,r.csv\n# made: by hand\n",
+         "line 3: expected 3 fields, found 1"),
+        ("# made: by hand\n# made: again\nsubject,state,path\ndog00,basal,r.csv\n",
+         "line 2: repeated header field 'made'"),
+        ("", "no data rows after the header"),
+        ("# seed: 1\n\n# made: by hand\n", "no data rows after the header"),
+    ], ids=["malformed-header", "seed-after-columns", "comment-row", "repeated-key", "empty",
+            "header-only"])
+    def test_manifest_follows_the_recording_grammar(self, manifest, text, message):
+        manifest.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            read_manifest(manifest)
+        assert str(excinfo.value) == f"{manifest}: {message}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_blank_lines_anywhere_are_skipped(self, tmp_path_factory, data):
+        rec = make_recording(n=4, channels=(7, 8))
+        path = write_recording(rec, tmp_path_factory.mktemp("blank") / "r.csv")
+        lines = path.read_text().splitlines()
+        spots = data.draw(st.lists(st.integers(0, len(lines)), min_size=1, max_size=4), label="at")
+        for at in sorted(spots, reverse=True):
+            lines.insert(at, "")
+        path.write_text("\n".join(lines) + "\n")
+        assert _same_recording(read_recording(path), rec)
+
+    @pytest.mark.parametrize("at", [0, 3], ids=["before-header", "in-header"])
+    def test_blank_line_counts_toward_line_numbers(self, tmp_path, at):
+        path = write_recording(make_recording(n=4, channels=(7, 8)), tmp_path / "r.csv")
+        lines = path.read_text().splitlines()
+        lines.insert(at, "")
+        lines[8] = lines[8].replace(",", ",x", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_recording(path)
+        assert str(excinfo.value).startswith(f"{path}: line 9, column 2: invalid number 'x")
