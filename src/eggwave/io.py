@@ -195,15 +195,21 @@ def _read_table(path: Path):
     """Read the layout recordings and manifests share: leading ``# key:
     value`` header lines, one column line, then rows (a later ``#`` line is a
     row).  Blank lines are skipped but counted.  Returns ``(fields, columns,
-    rows)``: ``fields`` maps each key to ``(line_no, value)``, ``columns`` is
-    the column line's ``(line_no, text)`` and ``rows`` lists each row's.  A
+    line_nos, rows)``: ``fields`` maps each key to ``(line_no, value)``,
+    ``columns`` is the column line's ``(line_no, text)``, and ``rows`` holds
+    each row's text, its line number at the same index of ``line_nos``.  A
     header line without a colon, a repeated key or a missing column line is
     rejected."""
-    numbered = [(i, line) for i, line in enumerate(_read_ascii(path).splitlines(), 1) if line]
+    lines = _read_ascii(path).splitlines()
+    line_nos = [i for i, line in enumerate(lines, 1) if line]
     fields = {}
-    for n, (line_no, line) in enumerate(numbered):
+    for n, line_no in enumerate(line_nos):
+        line = lines[line_no - 1]
         if not line.startswith("#"):
-            return fields, numbered[n], numbered[n + 1 :]
+            # Two parallel lists, not a (line_no, text) pair per row: the
+            # pairs held ~150 KB more per 2000-row recording read.
+            line_nos = line_nos[n + 1 :]
+            return fields, (line_no, line), line_nos, [lines[i - 1] for i in line_nos]
         key, sep, value = line[1:].partition(":")
         if not sep:
             raise ValueError(f"{path}: line {line_no}: malformed header line {line!r}")
@@ -228,9 +234,9 @@ def _parse_cell(token, path, line_no, column_no):
     return value
 
 
-def _parse_body(numbered, path, n_columns):
+def _parse_body(body, path, line_nos, n_columns):
     rows = []
-    for line_no, line in numbered:
+    for line_no, line in zip(line_nos, body):
         tokens = line.split(",")
         if len(tokens) != n_columns:
             raise ValueError(
@@ -258,7 +264,7 @@ def read_recording(path) -> RecordingFile:
     grid (more than half a period from ``i / sample_rate_hz``) with
     line/column diagnostics."""
     path = Path(path)
-    header, (column_no, columns), rows = _read_table(path)
+    header, (column_no, columns), line_nos, body = _read_table(path)
     fields = {key: value for key, (_, value) in header.items()}
     for required in ("subject", "state", "sample_rate_hz", "channels"):
         if required not in fields:
@@ -277,9 +283,8 @@ def read_recording(path) -> RecordingFile:
             f"{columns!r} does not match channels; expected {expected_columns!r}"
         )
 
-    if not rows:
+    if not line_nos:
         raise ValueError(f"{path}: no data rows after the header")
-    line_nos, body = zip(*rows)
     n_columns = len(channel_ids) + 1
     # Fast path; anything it cannot read as a full finite table goes
     # through the per-cell parser, which names the offending cell.
@@ -292,7 +297,7 @@ def read_recording(path) -> RecordingFile:
         or matrix.shape != (len(line_nos), n_columns)
         or not np.isfinite(matrix).all()
     ):
-        matrix = _parse_body(rows, path, n_columns)
+        matrix = _parse_body(body, path, line_nos, n_columns)
     try:
         recording = RecordingFile(
             subject=fields["subject"],
@@ -355,7 +360,7 @@ def read_manifest(path) -> Manifest:
     reported in a single error.
     """
     path = Path(path)
-    fields, (column_no, columns), rows = _read_table(path)
+    fields, (column_no, columns), line_nos, rows = _read_table(path)
     seed = None
     if "seed" in fields:
         line_no, value = fields["seed"]
@@ -369,7 +374,7 @@ def read_manifest(path) -> Manifest:
         )
     entries = []
     seen = set()
-    for line_no, line in rows:
+    for line_no, line in zip(line_nos, rows):
         tokens = line.split(",")
         if len(tokens) != 3:
             raise ValueError(f"{path}: line {line_no}: expected 3 fields, found {len(tokens)}")
