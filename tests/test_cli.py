@@ -483,16 +483,6 @@ class TestOutputPaths:
         assert reads == []
         assert self.snapshot(tmp_path) == before
 
-
-class TestOutputClashesWithReadFiles:
-    """No output may overwrite a file the command reads: not through a hard
-    link to its input, and not as a recording that its manifest lists."""
-
-    @pytest.fixture
-    def cohort_dir(self, dataset, tmp_path):
-        shutil.copytree(dataset.parent, tmp_path / "c")
-        return tmp_path / "c"
-
     @pytest.fixture
     def recording_reads(self, monkeypatch):
         # load_cohort reads through io's own binding, surface through cli's.
@@ -508,21 +498,17 @@ class TestOutputClashesWithReadFiles:
             monkeypatch.setattr(module, "read_recording", spy(module.read_recording))
         return calls
 
-    @staticmethod
-    def snapshot(root):
-        return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
     @pytest.mark.parametrize("args, linked", [
         (["compress", "--data", "{manifest}", "--out", "{hard}"], "{manifest}"),
         (["surface", "--recording", "{recording}", "--channel", "7", "--grid", "8",
           "--out-csv", "{hard}"], "{recording}"),
     ], ids=["compress", "surface"])
     def test_hard_link_to_the_input_is_the_input(
-        self, cohort_dir, tmp_path, recording_reads, args, linked
+        self, own_cohort, tmp_path, recording_reads, args, linked
     ):
         paths = {
-            "manifest": cohort_dir / "manifest.txt",
-            "recording": cohort_dir / "recordings" / "dog00_basal.csv",
+            "manifest": own_cohort / "manifest.txt",
+            "recording": own_cohort / "recordings" / "dog00_basal.csv",
             "hard": tmp_path / "hard.txt",
         }
         paths["hard"].hardlink_to(linked.format(**paths))
@@ -543,11 +529,12 @@ class TestOutputClashesWithReadFiles:
         ["match", "--grid", "8", "--channels", "7", "--out"],
     ], ids=["compress", "stats", "sweep", "match"])
     def test_listed_recording_as_output_reads_and_writes_nothing(
-        self, cohort_dir, tmp_path, recording_reads, args
+        self, own_cohort, tmp_path, recording_reads, args
     ):
-        listed = cohort_dir / "recordings" / "dog01_mild.csv"
+        # A recording that the manifest lists is read by the command too.
+        listed = own_cohort / "recordings" / "dog01_mild.csv"
         before = self.snapshot(tmp_path)
-        result = run(args[0], "--data", cohort_dir / "manifest.txt", *args[1:], listed)
+        result = run(args[0], "--data", own_cohort / "manifest.txt", *args[1:], listed)
         assert result.exit_code == 1
         assert result.output == (
             f"Error: output path {listed} names the same file as the input {listed.resolve()}\n"
