@@ -48,6 +48,10 @@ class RecordingFile:
     manifest row and in its file name, so each must be non-empty printable
     ASCII with no surrounding whitespace, comma, ``/`` or ``\\``, and must
     not start with ``#``.  Spaces inside a name are kept.
+
+    ``samples`` is read-only once checked.  The array given is taken over:
+    a C-contiguous float64 array that owns its data is frozen in place, and
+    a view of another array is copied first, so no write reaches it.
     """
 
     subject: str
@@ -57,9 +61,9 @@ class RecordingFile:
     samples: np.ndarray  # shape (n_samples, n_channels)
 
     def __post_init__(self):
-        # A contiguous copy of a column view (as the reader passes) keeps
-        # only the channel columns alive, not the parsed ``time_s`` column.
         samples = np.ascontiguousarray(self.samples, dtype=np.float64)
+        if samples.base is not None:
+            samples = samples.copy()
         if samples.ndim != 2 or samples.size == 0:
             raise ValueError("samples must form a non-empty 2-D matrix")
         if not np.all(np.isfinite(samples)):
@@ -95,6 +99,7 @@ class RecordingFile:
                     f"{field} {name!r} must be printable ASCII with no surrounding "
                     "whitespace, comma, path separator or leading '#'"
                 )
+        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "channel_ids", ids)
 
@@ -461,11 +466,11 @@ class Cohort:
 
         A missing recording, an unknown channel id or a repeated selection
         raises ``ValueError`` as is, before ``fn`` is first called.  Any
-        other ``ValueError`` is located where it is raised.  One from building
-        channel C's signal (a non-finite sample) or from producing its value
-        (``fn`` may return a generator) reads ``"subject S, state T, channel
-        C: ..."``; one from the call to ``fn`` itself reads ``"subject S,
-        state T: ..."``.  No channel is processed twice to locate an error.
+        other ``ValueError`` is located where it is raised.  One from
+        producing channel C's value (``fn`` may return a generator) reads
+        ``"subject S, state T, channel C: ..."``; one from the call to ``fn``
+        itself reads ``"subject S, state T: ..."``.  No channel is processed
+        twice to locate an error.
         """
         states = self.states if states is None else list(states)
         ids = self.channel_ids if channels is None else list(channels)
@@ -477,14 +482,9 @@ class Cohort:
         traces = [[rec.channel(ch) for ch in ids] for _, _, rec in selected]
         for (subject, state, rec), columns in zip(selected, traces):
             prefix = f"subject {subject}, state {state}"
-            signals = []
-            for ch, column in zip(ids, columns):
-                try:
-                    signals.append(Signal(column, sample_period_s=1.0 / rec.sample_rate_hz))
-                except ValueError as error:
-                    raise ValueError(f"{prefix}, channel {ch}: {error}") from error
+            signals = tuple(Signal(c, sample_period_s=1.0 / rec.sample_rate_hz) for c in columns)
             try:
-                values = iter(fn(tuple(signals)))
+                values = iter(fn(signals))
             except ValueError as error:
                 raise ValueError(f"{prefix}: {error}") from error
             for ch in ids:

@@ -52,6 +52,9 @@ WILCOXON_EXACT_LIMIT = 20
 
 DEFAULT_ALPHA = 0.05
 
+#: The state pairs a CR sweep compares: each uncoupled state with basal.
+SWEEP_PAIRS = (("basal", "mild"), ("basal", "severe"))
+
 _STATISTICS_LABEL = {"paired-t": "Student", "wilcoxon": "Wilcoxon"}
 
 
@@ -489,16 +492,11 @@ def _battery_settings(crs, wavelet, levels, alpha: float):
 
 def _battery(cohort: Cohort, crs, pairs, wavelet, levels, alpha: float) -> dict:
     # {(cr, state_a, state_b): comparison rows over sorted channels}, each
-    # distinct ratio and pair scored once, in first-seen order.  Settings,
-    # pairs, the cohort's size and each pair's recordings are checked before
-    # any signal is compressed; a failing channel is named with its pair.
+    # distinct ratio scored once, in first-seen order, for each of the
+    # distinct two-state ``pairs``.  Settings, the cohort's size and each
+    # pair's states and recordings are checked before any signal is
+    # compressed; a failing channel is named with its pair.
     crs, config = _battery_settings(crs, wavelet, levels, alpha)
-    pairs = list(dict.fromkeys(pairs))
-    if not pairs:
-        raise ValueError("sweep needs at least one state pair")
-    for pair in pairs:
-        if len(pair) != 2:
-            raise ValueError(f"state pair must name two states, got {pair!r}")
     count = len(cohort.subjects)
     if count < LILLIEFORS_MIN_VALUES:
         raise ValueError(
@@ -572,25 +570,23 @@ def cr_sweep(
     cohort: Cohort,
     crs,
     wavelet="daubechies-3",
-    pairs=(("basal", "mild"), ("basal", "severe")),
     levels="auto",
     alpha: float = DEFAULT_ALPHA,
 ) -> list:
-    """Detection-rate curve over compression ratios for each state pair.
+    """Detection-rate curve over compression ratios, basal against each uncoupled state.
 
-    Gives one point per listed ratio and pair, ratio by ratio in the order
-    given, then pair by pair; a repeated ratio or pair is scored once and
-    its point repeated.  ``pairs`` may be any iterable of two-state pairs.
-    No ratios or pairs, a pair not of two states, or one :func:`compare_states`
-    rejects (missing recordings too) fails before any signal is compressed.
-    Cohort size and channel errors are reported as by :func:`compare_states`.
+    Gives one point per listed ratio and pair of :data:`SWEEP_PAIRS`
+    (basal:mild, then basal:severe), ratio by ratio in the order given; a
+    repeated ratio is scored once and its points repeated.  No ratios, or a
+    cohort :func:`compare_states` would reject for either pair (missing
+    recordings too), fails before any signal is compressed.  Cohort size
+    and channel errors are reported as by :func:`compare_states`.
     """
     crs = [float(c) for c in crs]
-    pairs = [tuple(pair) for pair in pairs]
-    battery = _battery(cohort, crs, pairs, wavelet, levels, alpha)
+    battery = _battery(cohort, crs, SWEEP_PAIRS, wavelet, levels, alpha)
     points = []
     for cr in crs:
-        for state_a, state_b in pairs:
+        for state_a, state_b in SWEEP_PAIRS:
             rows = battery[(cr, state_a, state_b)]
             points.append(
                 SweepPoint(

@@ -9,6 +9,7 @@ from eggwave import (
     Cohort,
     cli,
     compression,
+    cr_sweep,
     DwtCoefficients,
     io,
     Manifest,
@@ -33,11 +34,13 @@ from eggwave import (
         (wilcoxon_signed_rank, "alpha"),
         (refine_surface, "resolution"),
         (state_model, "noise_level"),
+        (cr_sweep, "pairs"),
     ],
 )
 def test_fixed_values_are_not_parameters(function, removed):
     # The battery applies the significance level, the refine sub-grid is
-    # REFINE_RESOLUTION wide and every simulated state uses NOISE_SIGMA.
+    # REFINE_RESOLUTION wide, every simulated state uses NOISE_SIGMA and a
+    # sweep compares the SWEEP_PAIRS.
     assert removed not in inspect.signature(function).parameters
 
 

@@ -1,4 +1,5 @@
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,8 +188,9 @@ class TestLocatedErrors:
         assert result.exit_code == 0, result.output
         path = tmp_path / "recordings" / "dog01_mild.csv"
         rec = read_recording(path)
-        rec.samples[:, rec.channel_ids.index(10)] = 0.0
-        write_recording(rec, path)
+        samples = rec.samples.copy()
+        samples[:, rec.channel_ids.index(10)] = 0.0
+        write_recording(replace(rec, samples=samples), path)
         result = run("compress", "--data", tmp_path / "manifest.txt")
         assert result.exit_code == 1
         assert "Error: subject dog01, state mild, channel 10: " in result.output
@@ -201,8 +203,9 @@ class TestLocatedErrors:
         assert result.exit_code == 0, result.output
         path = tmp_path / "recordings" / "dog01_mild.csv"
         rec = read_recording(path)
-        rec.samples[:, rec.channel_ids.index(10)] *= 1e160
-        write_recording(rec, path)
+        samples = rec.samples.copy()
+        samples[:, rec.channel_ids.index(10)] *= 1e160
+        write_recording(replace(rec, samples=samples), path)
         result = run("compress", "--data", tmp_path / "manifest.txt")
         assert result.exit_code == 1
         assert result.output == (

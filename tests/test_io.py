@@ -118,6 +118,13 @@ class TestRecordingRoundTrip:
         samples = np.zeros((8, 2))
         assert RecordingFile("d", "basal", 10.0, (7, 8), samples).samples is samples
 
+    def test_view_of_a_larger_array_is_copied(self):
+        larger = np.arange(30.0).reshape(10, 3)
+        rec = RecordingFile("d", "basal", 10.0, (7, 8, 9), larger[2:8])
+        larger[:] = -1.0
+        assert np.array_equal(rec.samples, np.arange(6.0, 24.0).reshape(6, 3))
+        assert not rec.samples.flags.writeable
+
     def test_duration_header(self, tmp_path):
         rec = make_recording(n=6000, channels=tuple(range(7, 15)))
         path = write_recording(rec, tmp_path / "r.csv")
@@ -560,15 +567,18 @@ class TestCohortApply:
         with pytest.raises(ValueError, match=r"^subject dog00, state basal: fn gave (fewer|more) "):
             list(make_cohort().apply(lambda signals: [0] * count))
 
-    def test_non_finite_sample_written_later_names_the_trace(self):
-        # RecordingFile.samples stays writable, so a value can turn bad after
-        # the recording's own check; the trace's Signal rejects it, located.
+    def test_samples_cannot_be_written_after_the_check(self, tmp_path):
+        # A value cannot turn bad after the recording's own check, so the
+        # traces' signals are built from checked samples.
         cohort = simulate_cohort(CohortSpec(subjects=3, channels=2, duration_s=30.0, seed=1))
-        cohort.get("dog01", "basal").samples[5, 0] = np.nan
-        message = r"^subject dog01, state basal, channel 7: signal samples must all be finite$"
-        with pytest.raises(ValueError, match=message):
-            state_prds(cohort, "basal")
-        # Selecting a channel the recording lacks is still not the trace's error.
+        before = state_prds(cohort, "basal")
+        read_back = read_recording(write_recording(cohort.get("dog01", "basal"), tmp_path / "r.csv"))
+        for rec in (cohort.get("dog01", "basal"), read_back):
+            with pytest.raises(ValueError, match="read-only"):
+                rec.samples[5, 0] = np.nan
+        after = state_prds(cohort, "basal")
+        assert all(np.array_equal(before[ch], after[ch]) for ch in (7, 8))
+        # Selecting a channel the recording lacks is not located as the trace's error.
         with pytest.raises(ValueError, match=r"^recording has no channel 99; ids: \(7, 8\)$"):
             list(cohort.apply(identity, states=["basal"], channels=[7, 99]))
 

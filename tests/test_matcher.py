@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -328,7 +329,9 @@ class TestMatchCohort:
     def test_flat_last_channel_is_named_without_rescanning(self, monkeypatch):
         # Each channel is scanned once; the error is raised by the scan that fails.
         cohort = simulate_cohort(CohortSpec(subjects=3, channels=3, duration_s=30.0, seed=3))
-        cohort.get("dog00", "basal").samples[:, 2] = 0.0
+        victim = cohort.get("dog00", "basal")
+        samples = victim.samples * [1.0, 1.0, 0.0]
+        cohort = Cohort({**cohort.recordings, ("dog00", "basal"): replace(victim, samples=samples)})
         calls = []
 
         def counted(*args, **kwargs):

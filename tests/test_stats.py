@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -626,7 +627,9 @@ class TestPipeline:
     def test_overflowing_channel_energy_names_the_trace(self):
         # A PRD against an energy of inf would read nan; it is rejected instead.
         cohort = simulate_cohort(CohortSpec(subjects=4, channels=3, duration_s=30.0, seed=2))
-        cohort.get("dog02", "basal").samples[:, 1] *= 1e160
+        victim = cohort.get("dog02", "basal")
+        samples = victim.samples * [1.0, 1e160, 1.0]
+        cohort = Cohort({**cohort.recordings, ("dog02", "basal"): replace(victim, samples=samples)})
         message = r"^subject dog02, state basal, channel 8: signal energy overflows a float$"
         with pytest.raises(ValueError, match=message):
             state_prds(cohort, "basal")
@@ -662,6 +665,7 @@ class TestPipeline:
         basal = np.array([1.0, 2.0, 4.0, 3.0])
         table = {
             (3.0, "basal"): {7: basal, 8: basal},
+            (3.0, "mild"): {7: basal + [0.5, 0.1, 0.9, 0.2], 8: basal + [0.5, 0.1, 0.9, 0.2]},
             (3.0, "severe"): {7: basal + [0.5, 0.1, 0.9, 0.2], 8: basal + 1.0},
         }
         monkeypatch.setattr(stats, "_prd_table", lambda *args: table)
@@ -669,7 +673,7 @@ class TestPipeline:
         with pytest.raises(ValueError, match=message):
             compare_states(small_cohort, "basal", "severe", cr=3.0)
         with pytest.raises(ValueError, match=message):
-            cr_sweep(small_cohort, crs=[3.0], pairs=(("basal", "severe"),))
+            cr_sweep(small_cohort, crs=[3.0])
 
     def test_scaling_cohort_does_not_change_decisions(self, small_cohort):
         rows = compare_states(small_cohort, "basal", "severe", cr=3.0)
@@ -690,13 +694,12 @@ class TestPipeline:
             assert row.p_value == pytest.approx(scaled_row.p_value, rel=1e-6)
 
 
-def cr_sweep_per_ratio(cohort, crs, wavelet="daubechies-3",
-                       pairs=(("basal", "mild"), ("basal", "severe")), levels="auto"):
+def cr_sweep_per_ratio(cohort, crs, wavelet="daubechies-3", levels="auto"):
     """Sweep by one full state_prds run per ratio and state (the direct form)."""
     points = []
     for cr in [float(c) for c in crs]:
         cached = {}
-        for state_a, state_b in pairs:
+        for state_a, state_b in (("basal", "mild"), ("basal", "severe")):
             for state in (state_a, state_b):
                 if state not in cached:
                     cached[state] = state_prds(cohort, state, wavelet, cr, levels)
@@ -716,15 +719,11 @@ def cr_sweep_per_ratio(cohort, crs, wavelet="daubechies-3",
 
 
 class TestSweepTransformsOnce:
-    @pytest.mark.parametrize("crs,pairs", [
-        ([2.0, 3.0, 4.0, 5.0, 8.0], (("basal", "mild"), ("basal", "severe"))),
-        ([8, 2.5, 8, 3], (("basal", "mild"), ("basal", "severe"))),
-        ([4.0, 2.0], (("mild", "severe"), ("basal", "mild"), ("severe", "basal"))),
-    ])
-    def test_equals_state_prds_per_ratio(self, small_cohort, crs, pairs):
-        points = cr_sweep(small_cohort, crs, pairs=pairs)
-        assert points == cr_sweep_per_ratio(small_cohort, crs, pairs=pairs)
-        assert [p.cr for p in points] == [float(c) for c in crs for _ in pairs]
+    @pytest.mark.parametrize("crs", [[2.0, 3.0, 4.0, 5.0, 8.0], [8, 2.5, 8, 3]])
+    def test_equals_state_prds_per_ratio(self, small_cohort, crs):
+        points = cr_sweep(small_cohort, crs)
+        assert points == cr_sweep_per_ratio(small_cohort, crs)
+        assert [p.cr for p in points] == [float(c) for c in crs for _ in range(2)]
 
     def test_explicit_depth_and_plane_wavelet(self, small_cohort):
         kwargs = dict(wavelet=(0.7, -1.9), levels=5)
@@ -758,33 +757,17 @@ class TestSweepTransformsOnce:
 
 
 class TestSweepInputs:
-    PAIRS = [("basal", "mild"), ("basal", "severe")]
-
     @pytest.fixture(scope="class")
     def two_channels(self):
         return simulate_cohort(CohortSpec(subjects=4, channels=2, duration_s=60.0, seed=11))
 
-    def test_repeated_ratio_and_pair_are_scored_once(self, two_channels):
-        pairs = [("basal", "severe")] * 2
-        expected = cr_sweep_per_ratio(two_channels, [3, 3], pairs=pairs)
+    def test_repeated_ratio_is_scored_once(self, two_channels):
+        expected = cr_sweep_per_ratio(two_channels, [3, 3])
         with mock.patch.object(stats, "compare_paired", wraps=compare_paired) as spy:
-            points = cr_sweep(two_channels, [3, 3], pairs=pairs)
-        assert spy.call_count == 2  # one per channel, not per listed ratio and pair
+            points = cr_sweep(two_channels, [3, 3])
+        assert spy.call_count == 4  # one per channel and pair, not per listed ratio
         assert len(points) == 4
         assert points == expected
-
-    def test_pairs_may_be_a_one_shot_iterable(self, two_channels):
-        points = cr_sweep(two_channels, [3.0, 5.0], pairs=iter(self.PAIRS))
-        assert points == cr_sweep(two_channels, [3.0, 5.0], pairs=self.PAIRS)
-
-    @pytest.mark.parametrize("pairs, message", [
-        ([], r"^sweep needs at least one state pair$"),
-        ([("basal",)], r"^state pair must name two states, got \('basal',\)$"),
-        ([("basal", "mild", "severe")], r"^state pair must name two states, got \('basal', "),
-    ])
-    def test_unrunnable_pairs_rejected_before_compressing(self, pairs, message):
-        with pytest.raises(ValueError, match=message):
-            cr_sweep(make_flat_cohort(4), [3.0], pairs=pairs)
 
 
 def state_prds_direct(cohort, state, wavelet, cr, levels):
@@ -827,14 +810,12 @@ class TestBatteryInputsCheckedFirst:
     @pytest.mark.parametrize("call, message", [
         (lambda c: compare_states(c, "basal", "basal"),
          "state pair basal:basal compares a state with itself"),
-        (lambda c: cr_sweep(c, [3.0], pairs=[("basal", "bogus")]),
+        (lambda c: compare_states(c, "basal", "bogus"),
          "state pair basal:bogus names a state the cohort does not have"),
         (lambda c: compare_states(c, "bogus", "basal"),
          "state pair bogus:basal names a state the cohort does not have"),
-        (lambda c: cr_sweep(c, [3.0], pairs=[("basal", "mild"), ("severe", "severe")]),
-         "state pair severe:severe compares a state with itself"),
         (lambda c: cr_sweep(c, []), "sweep needs at least one compression ratio"),
-    ], ids=["itself", "unknown-second", "unknown-first", "later-pair", "no-ratios"])
+    ], ids=["itself", "unknown-second", "unknown-first", "no-ratios"])
     def test_compresses_nothing(self, cohort, call, message):
         block = compression._compress_block
         with mock.patch.object(compression, "_compress_block", wraps=block) as spy:
@@ -844,7 +825,7 @@ class TestBatteryInputsCheckedFirst:
 
     @pytest.mark.parametrize("call", [
         lambda c: compare_states(c, "basal", "mild"),
-        lambda c: cr_sweep(c, [3.0, 4.0], pairs=[("basal", "severe"), ("basal", "mild")]),
+        lambda c: cr_sweep(c, [3.0, 4.0]),
     ], ids=["compare", "sweep"])
     def test_missing_recording_names_its_pair(self, cohort, call):
         partial = Cohort({k: v for k, v in cohort.recordings.items() if k != ("dog03", "mild")})
@@ -860,8 +841,9 @@ class TestBatteryInputsCheckedFirst:
         ([3.0], 1.0, "significance level must be in (0, 1), got 1.0"),
     ], ids=["ratio", "alpha"])
     def test_settings_are_checked_before_the_pairs(self, cohort, crs, alpha, message):
+        no_mild = Cohort({k: v for k, v in cohort.recordings.items() if k[1] != "mild"})
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            cr_sweep(cohort, crs, pairs=[("basal",)], alpha=alpha)
+            cr_sweep(no_mild, crs, alpha=alpha)
 
 
 class TestSampleChecks:
