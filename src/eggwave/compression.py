@@ -131,12 +131,15 @@ def prd(x, reconstruction) -> float:
 def _prd(ref: np.ndarray, rec: np.ndarray) -> float:
     # prd of two equal-length sample vectors; ``rec`` may be a workspace row.
     # An overflowed energy is an error, not a warning and a nan (inf / inf).
+    # Energies are summed by numpy's own pairwise loop, not BLAS dot, whose
+    # summation order depends on the CPU kernel OpenBLAS picks.
     with np.errstate(over="ignore"):
-        energy = float(np.dot(ref, ref))
+        energy = float(np.add.reduce(ref * ref))
         if energy == 0.0:
             raise ValueError("reference signal has zero energy")
         diff = ref - rec
-        residual = float(np.dot(diff, diff))
+        diff *= diff
+        residual = float(np.add.reduce(diff))
     if not (math.isfinite(energy) and math.isfinite(residual)):
         raise ValueError("signal energy overflows a float")
     return float(np.sqrt(residual / energy) * 100.0)

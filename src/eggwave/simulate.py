@@ -185,7 +185,8 @@ def state_model(spec: CohortSpec, subject: int, state: str) -> StateModel:
 def _generator_waveform(t: np.ndarray, frequency_cpm: float, phases) -> np.ndarray:
     # Unit-power slow wave: fundamental plus 2nd and 3rd harmonics.
     weights = np.asarray(HARMONIC_WEIGHTS)
-    weights = weights / np.linalg.norm(weights)
+    # Not np.linalg.norm, which sums a vector with BLAS dot (see compression._prd).
+    weights = weights / np.sqrt(np.add.reduce(weights * weights))
     f_hz = frequency_cpm / 60.0
     wave = np.zeros_like(t)
     for k, (w, phase) in enumerate(zip(weights, phases), start=1):

@@ -1,5 +1,10 @@
+import os
+import platform
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from eggwave import cli, io
 from eggwave.cli import main, parse_wavelet
 from eggwave.io import read_recording, write_recording
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -159,6 +165,27 @@ class TestSurfaceAndMatch:
         assert "minimum PRD" in result.output and "pi)" in result.output
         assert csv_path.read_text().splitlines()[0] == "a,b,prd"
         assert pgm_path.read_text().startswith("P2\n8 8\n255\n")
+
+    @pytest.mark.skipif(
+        platform.machine() not in ("x86_64", "AMD64"), reason="names x86-64 OpenBLAS kernels"
+    )
+    def test_surface_bytes_do_not_depend_on_the_blas_kernel(self, dataset, tmp_path):
+        # OpenBLAS picks its kernel per CPU; these two run on any x86-64 host
+        # numpy supports, so each child stands in for a different machine.
+        recording = dataset.parent / "recordings" / "dog00_basal.csv"
+        outputs = []
+        for core in (None, "Nehalem", "Prescott"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            env.update({"OPENBLAS_CORETYPE": core} if core else {})
+            out = tmp_path / f"{core}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "eggwave.cli", "surface", "--recording", str(recording),
+                 "--channel", "9", "--grid", "16", "--out-csv", str(out)],
+                env=env, capture_output=True, check=True, timeout=120,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_match_reports_both_unit_readings(self, dataset, tmp_path):
         out = tmp_path / "minima.csv"
