@@ -65,9 +65,9 @@ def _load_cohort(data, *outputs) -> Cohort:
     """The cohort the manifest ``data`` lists, once no output path clashes
     with the manifest, a recording it lists, a directory or another output;
     so a clash is reported before any recording is read."""
-    listed = [path for _, _, path in read_manifest(data).entries]
-    _check_outputs([data, *listed], *outputs)
-    return load_cohort(data)
+    manifest = read_manifest(data)
+    _check_outputs([data, *(path for _, _, path in manifest.entries)], *outputs)
+    return load_cohort(manifest)
 
 
 def parse_wavelet(text: str):

@@ -523,8 +523,9 @@ def write_cohort(cohort: Cohort, out_dir) -> Path:
 
 
 def load_cohort(manifest) -> Cohort:
-    """Load every recording listed by the manifest file at the path ``manifest``."""
-    manifest = read_manifest(manifest)
+    """Load every recording listed by ``manifest``: the path of a manifest
+    file, or the :class:`Manifest` that :func:`read_manifest` returned for one."""
+    manifest = manifest if isinstance(manifest, Manifest) else read_manifest(manifest)
     recordings = {}
     first = None
     for subject, state, rec_path in manifest.entries:

@@ -465,6 +465,27 @@ class TestOutputPaths:
         assert reads == []
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("args", [
+        ["compress"],
+        ["stats"],
+        ["sweep", "--crs", "3"],
+        ["match", "--grid", "8", "--channels", "7"],
+    ], ids=["compress", "stats", "sweep", "match"])
+    def test_manifest_is_read_once(self, dataset, monkeypatch, args):
+        # The outputs are checked against the manifest the cohort is then loaded from.
+        calls = []
+        real = io.read_manifest
+
+        def counted(path):
+            calls.append(path)
+            return real(path)
+
+        for module in (cli, io):
+            monkeypatch.setattr(module, "read_manifest", counted)
+        result = run(args[0], "--data", dataset, *args[1:])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
     @pytest.fixture
     def own_cohort(self, dataset, tmp_path):
         # A private copy, so a command that overwrote its input harms no other test.
