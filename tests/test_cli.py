@@ -177,7 +177,8 @@ class TestSurfaceAndMatch:
         for core in (None, "Nehalem", "Prescott"):
             env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-            env.update({"OPENBLAS_CORETYPE": core} if core else {})
+            if core:
+                env["OPENBLAS_CORETYPE"] = core
             out = tmp_path / f"{core}.csv"
             subprocess.run(
                 [sys.executable, "-m", "eggwave.cli", "surface", "--recording", str(recording),
