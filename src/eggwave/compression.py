@@ -128,21 +128,24 @@ def prd(x, reconstruction) -> float:
     return _prd(ref.samples, rec.samples)
 
 
-def _prd(ref: np.ndarray, rec: np.ndarray) -> float:
-    # prd of two equal-length sample vectors; ``rec`` may be a workspace row.
-    # An overflowed energy is an error, not a warning and a nan (inf / inf).
-    # Energies are summed by numpy's own pairwise loop, not BLAS dot, whose
-    # summation order depends on the CPU kernel OpenBLAS picks.
+def _prd(ref: np.ndarray, rec: np.ndarray):
+    # prd of a sample vector against one equal-length row (a float), or
+    # against each row of a (k, n) stack (a list), with the reference energy
+    # summed once; ``rec`` may be a workspace view.  An overflowed energy is
+    # an error, not a warning and a nan (inf / inf).  Energies are summed by
+    # numpy's own pairwise loop, row by row, not BLAS dot, whose summation
+    # order depends on the CPU kernel OpenBLAS picks.
     with np.errstate(over="ignore"):
         energy = float(np.add.reduce(ref * ref))
         if energy == 0.0:
             raise ValueError("reference signal has zero energy")
         diff = ref - rec
         diff *= diff
-        residual = float(np.add.reduce(diff))
-    if not (math.isfinite(energy) and math.isfinite(residual)):
+        residual = np.add.reduce(diff, axis=-1)
+    if not (math.isfinite(energy) and np.isfinite(residual).all()):
         raise ValueError("signal energy overflows a float")
-    return float(np.sqrt(residual / energy) * 100.0)
+    scores = [math.sqrt(r / energy) * 100.0 for r in np.atleast_1d(residual).tolist()]
+    return scores if rec.ndim > 1 else scores[0]
 
 
 #: Rows (signals x ratios) that one block of _compress_block rebuilds in
@@ -191,7 +194,7 @@ def _prd_scores(signals, config: CompressionConfig, crs, work):
         block = signals[start : start + step]
         _, kept, masks, rows = _compress_block(block, config, crs, work)
         for signal, signal_rows in zip(block, rows):
-            yield masks.shape[-1], kept, [_prd(signal.samples, row) for row in signal_rows]
+            yield masks.shape[-1], kept, _prd(signal.samples, signal_rows)
 
 
 # An overflowing transform leaves inf and nan rows for _prd to report as

@@ -253,13 +253,14 @@ def _parse_body(body, path, line_nos, n_columns):
     return np.asarray(rows, dtype=np.float64)
 
 
-def _parse_header_number(fields, key, path):
+def _parse_header_number(header, key, path):
+    line_no, text = header[key]
     try:
-        value = float(fields[key])
+        value = float(text)
     except ValueError:
-        raise ValueError(f"{path}: malformed {key} header {fields[key]!r}") from None
+        raise ValueError(f"{path}: line {line_no}: malformed {key} header {text!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{path}: non-finite {key} header {fields[key]!r}")
+        raise ValueError(f"{path}: line {line_no}: non-finite {key} header {text!r}")
     return value
 
 
@@ -270,16 +271,18 @@ def read_recording(path) -> RecordingFile:
     line/column diagnostics."""
     path = Path(path)
     header, (column_no, columns), line_nos, body = _read_table(path)
-    fields = {key: value for key, (_, value) in header.items()}
     for required in ("subject", "state", "sample_rate_hz", "channels"):
-        if required not in fields:
+        if required not in header:
             raise ValueError(f"{path}: missing header field '{required}'")
 
+    channels_no, channels = header["channels"]
     try:
-        channel_ids = tuple(int(t) for t in fields["channels"].split(","))
+        channel_ids = tuple(int(t) for t in channels.split(","))
     except ValueError:
-        raise ValueError(f"{path}: malformed channels header {fields['channels']!r}") from None
-    sample_rate = _parse_header_number(fields, "sample_rate_hz", path)
+        raise ValueError(
+            f"{path}: line {channels_no}: malformed channels header {channels!r}"
+        ) from None
+    sample_rate = _parse_header_number(header, "sample_rate_hz", path)
 
     expected_columns = "time_s," + ",".join(f"ch{c}" for c in channel_ids)
     if columns != expected_columns:
@@ -305,8 +308,8 @@ def read_recording(path) -> RecordingFile:
         matrix = _parse_body(body, path, line_nos, n_columns)
     try:
         recording = RecordingFile(
-            subject=fields["subject"],
-            state=fields["state"],
+            subject=header["subject"][1],
+            state=header["state"][1],
             sample_rate_hz=sample_rate,
             channel_ids=channel_ids,
             samples=matrix[:, 1:],
@@ -323,12 +326,12 @@ def read_recording(path) -> RecordingFile:
             f"{path}: line {line_nos[i]}: time_s {times[i]} does not match "
             f"sample {i} at {sample_rate} Hz"
         )
-    if "duration_s" in fields:
-        declared = _parse_header_number(fields, "duration_s", path)
+    if "duration_s" in header:
+        declared = _parse_header_number(header, "duration_s", path)
         if abs(declared - recording.duration_s) > 0.5 / sample_rate:
             raise ValueError(
-                f"{path}: declared duration {declared} s does not match "
-                f"{recording.n_samples} samples at {sample_rate} Hz"
+                f"{path}: line {header['duration_s'][0]}: declared duration {declared} s "
+                f"does not match {recording.n_samples} samples at {sample_rate} Hz"
             )
     return recording
 

@@ -9,7 +9,9 @@ signal-to-noise ratio and spreads signal energy over more wavelet
 coefficients, which is exactly the effect the compression screen detects.
 
 Everything is a pure function of (seed, subject, state, channel), so
-cohorts are reproducible sample for sample.
+cohorts are reproducible sample for sample.  The one entry point is
+:func:`simulate_cohort`, which takes a checked :class:`CohortSpec`; the
+per-(subject, state) generator model it draws is internal.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ from .io import STATES, Cohort, RecordingFile
 
 __all__ = [
     "CohortSpec",
-    "StateModel",
-    "state_model",
-    "simulate_recording",
     "simulate_cohort",
     "square_wave_signal",
 ]
@@ -69,7 +68,11 @@ _GAIN_STREAM = 10_007  # rng stream tag, distinct from any state index
 
 @dataclass(frozen=True)
 class CohortSpec:
-    """Shape and seed of a synthetic cohort."""
+    """Shape and seed of a synthetic cohort, checked when it is built.
+
+    ``seed`` must be a non-negative ``int`` or numpy integer, so a bad seed
+    is rejected here rather than by numpy's generator mid-simulation.
+    """
 
     subjects: int = 16
     channels: int = 8
@@ -92,6 +95,8 @@ class CohortSpec:
                 f"duration_s {self.duration_s!r} at sample_rate_hz {self.sample_rate_hz!r} "
                 f"gives {round(n)} samples, more than a float64 array can hold"
             )
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def n_samples(self) -> int:
@@ -102,56 +107,24 @@ class CohortSpec:
 
 
 @dataclass(frozen=True)
-class StateModel:
-    """Fully instantiated generator model for one (subject, state) pair."""
+class _StateModel:
+    # The generator model _state_model draws for one (subject, state).  Its
+    # rules hold by construction: one distinct in-band frequency per
+    # generator, powers summing to STATE_POWER[state], positive mixing
+    # weights and a (channels, generators) mixing matrix from the spec.
 
     state: str
     frequencies_cpm: tuple
     amplitudes: tuple
     phases: tuple  # per generator: one phase per harmonic
     mixing: np.ndarray  # (channels, generators) weights
-    noise_level: float
-
-    def __post_init__(self):
-        if self.state not in STATES:
-            raise ValueError(f"unknown state {self.state!r}; expected one of {STATES}")
-        generators = len(GENERATOR_SPLIT[self.state])
-        if len(self.frequencies_cpm) != generators:
-            raise ValueError(
-                f"{self.state} state needs {generators} generator(s), "
-                f"got {len(self.frequencies_cpm)} frequencies"
-            )
-        if len(self.amplitudes) != generators or len(self.phases) != generators:
-            raise ValueError("amplitudes and phases must match the generator count")
-        freqs = [float(f) for f in self.frequencies_cpm]
-        if len(set(freqs)) != generators:
-            raise ValueError("generator frequencies must be distinct")
-        if not all(3.0 <= f <= 8.0 for f in freqs):
-            raise ValueError("generator frequencies must lie in 3-8 cpm")
-        if not all(a > 0 for a in self.amplitudes):
-            raise ValueError("generator amplitudes must be positive")
-        total_power = sum(a * a / 2.0 for a in self.amplitudes)
-        if total_power > STATE_POWER["basal"] + 1e-9:
-            raise ValueError("total generator power exceeds the basal budget")
-        mixing = np.asarray(self.mixing, dtype=np.float64)
-        if mixing.ndim != 2 or mixing.shape[1] != generators:
-            raise ValueError("mixing must be a (channels, generators) matrix")
-        if not np.all(np.isfinite(mixing)) or np.any(mixing <= 0):
-            raise ValueError("mixing weights must be positive and finite")
-        if not (math.isfinite(self.noise_level) and self.noise_level >= 0):
-            raise ValueError("noise level must be non-negative")
-        object.__setattr__(self, "mixing", mixing)
 
 
-def state_model(spec: CohortSpec, subject: int, state: str) -> StateModel:
-    """Draw the deterministic generator model for one (subject, state).
-
-    Channel gains are keyed by subject only, so the three states of a
-    subject share electrode gains; everything else is keyed by
-    (seed, subject, state).  The noise level is ``NOISE_SIGMA``.
-    """
-    if state not in STATES:
-        raise ValueError(f"unknown state {state!r}; expected one of {STATES}")
+def _state_model(spec: CohortSpec, subject: int, state: str) -> _StateModel:
+    # Draw the deterministic generator model for one (subject, state) of
+    # STATES.  Channel gains are keyed by subject only, so the three states
+    # of a subject share electrode gains; everything else is keyed by
+    # (seed, subject, state).
     gains_rng = np.random.default_rng((spec.seed, subject, _GAIN_STREAM))
     gains = gains_rng.uniform(*CHANNEL_GAIN_RANGE, size=spec.channels)
 
@@ -172,13 +145,12 @@ def state_model(spec: CohortSpec, subject: int, state: str) -> StateModel:
     amplitudes = tuple(
         math.sqrt(2.0 * power * share) for share in GENERATOR_SPLIT[state]
     )
-    return StateModel(
+    return _StateModel(
         state=state,
         frequencies_cpm=frequencies,
         amplitudes=amplitudes,
         phases=phases,
         mixing=mixing,
-        noise_level=NOISE_SIGMA,
     )
 
 
@@ -194,17 +166,11 @@ def _generator_waveform(t: np.ndarray, frequency_cpm: float, phases) -> np.ndarr
     return wave
 
 
-def simulate_recording(spec: CohortSpec, model: StateModel, subject: int) -> RecordingFile:
-    """Synthesize the multichannel recording of one (subject, state).
-
-    Each channel mixes the generator waveforms with its weights and adds
-    white Gaussian noise at the model's absolute level; noise streams are
-    keyed by (seed, subject, state, channel).
-    """
-    if model.mixing.shape[0] != spec.channels:
-        raise ValueError(
-            f"model mixes {model.mixing.shape[0]} channels, spec has {spec.channels}"
-        )
+def _simulate_recording(spec: CohortSpec, model: _StateModel, subject: int) -> RecordingFile:
+    # Synthesize the multichannel recording of one (subject, state): each
+    # channel mixes the generator waveforms with its weights and adds white
+    # Gaussian noise of standard deviation NOISE_SIGMA; noise streams are
+    # keyed by (seed, subject, state, channel).
     n = spec.n_samples
     t = np.arange(n) / spec.sample_rate_hz
     samples = np.zeros((n, spec.channels))
@@ -215,7 +181,7 @@ def simulate_recording(spec: CohortSpec, model: StateModel, subject: int) -> Rec
         samples += wave[:, None] * model.mixing[:, g][None, :]
     for ch in range(spec.channels):
         rng = np.random.default_rng((spec.seed, subject, STATES.index(model.state), ch))
-        samples[:, ch] += model.noise_level * rng.standard_normal(n)
+        samples[:, ch] += NOISE_SIGMA * rng.standard_normal(n)
     return RecordingFile(
         subject=spec.subject_id(subject),
         state=model.state,
@@ -230,8 +196,8 @@ def simulate_cohort(spec: CohortSpec) -> Cohort:
     recordings = {}
     for subject in range(spec.subjects):
         for state in STATES:
-            model = state_model(spec, subject, state)
-            rec = simulate_recording(spec, model, subject)
+            model = _state_model(spec, subject, state)
+            rec = _simulate_recording(spec, model, subject)
             recordings[(rec.subject, state)] = rec
     return Cohort(recordings=recordings, seed=spec.seed)
 

@@ -19,7 +19,6 @@ from eggwave import (
     paired_t,
     refine_surface,
     simulate,
-    state_model,
     stats,
     wavelets,
     wilcoxon_signed_rank,
@@ -33,14 +32,12 @@ from eggwave import (
         (paired_t, "alpha"),
         (wilcoxon_signed_rank, "alpha"),
         (refine_surface, "resolution"),
-        (state_model, "noise_level"),
         (cr_sweep, "pairs"),
     ],
 )
 def test_fixed_values_are_not_parameters(function, removed):
     # The battery applies the significance level, the refine sub-grid is
-    # REFINE_RESOLUTION wide, every simulated state uses NOISE_SIGMA and a
-    # sweep compares the SWEEP_PAIRS.
+    # REFINE_RESOLUTION wide and a sweep compares the SWEEP_PAIRS.
     assert removed not in inspect.signature(function).parameters
 
 
@@ -62,6 +59,14 @@ def test_each_rule_is_stated_once():
     assert not hasattr(wavelets, "as_samples")
     for name in ("STATE_GENERATORS", "_state_index"):
         assert not hasattr(simulate, name)
+
+
+def test_generator_model_is_internal():
+    # simulate_cohort(CohortSpec) is the simulator's one entry point.
+    for name in ("StateModel", "state_model", "simulate_recording"):
+        assert name not in simulate.__all__
+        assert not hasattr(simulate, name)
+        assert not hasattr(eggwave, name)
 
 
 def test_load_cohort_takes_a_path_only():

@@ -72,6 +72,12 @@ class TestSimulate:
         assert result.output.startswith("Error: duration_s 1e+20 at sample_rate_hz 10.0 gives ")
         assert not (tmp_path / "x").exists()
 
+    def test_negative_seed_is_data_error(self, tmp_path):
+        result = run("simulate", "--out", tmp_path / "x", "--seed", "-1")
+        assert result.exit_code == 1
+        assert result.output == "Error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "x").exists()
+
 
 class TestCompress:
     def test_cr_one_is_lossless_everywhere(self, dataset):

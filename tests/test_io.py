@@ -785,7 +785,21 @@ class TestPlainChecks:
     def test_infinite_sample_rate_header_rejected(self, tmp_path):
         path = write_recording(make_recording(n=4), tmp_path / "r.csv")
         path.write_text(path.read_text().replace("sample_rate_hz: 10", "sample_rate_hz: inf"))
-        with pytest.raises(ValueError, match=r"r\.csv: non-finite sample_rate_hz header 'inf'$"):
+        with pytest.raises(
+            ValueError, match=r"r\.csv: line 3: non-finite sample_rate_hz header 'inf'$"
+        ):
+            read_recording(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("sample_rate_hz", "ten", "line 3: malformed sample_rate_hz header 'ten'"),
+        ("duration_s", "nan", "line 4: non-finite duration_s header 'nan'"),
+        ("channels", "7,8,x", "line 5: malformed channels header '7,8,x'"),
+        ("duration_s", "99", r"line 4: declared duration 99\.0 s does not match 4 samples"),
+    ], ids=["malformed-rate", "non-finite-duration", "malformed-channels", "duration-mismatch"])
+    def test_header_value_errors_name_their_line(self, tmp_path, key, value, message):
+        path = write_recording(make_recording(n=4), tmp_path / "r.csv")
+        path.write_text(re.sub(rf"(?m)^# {key}: .*$", f"# {key}: {value}", path.read_text()))
+        with pytest.raises(ValueError, match=rf"r\.csv: {message}"):
             read_recording(path)
 
     def test_manifest_with_no_entries_rejected(self, tmp_path):

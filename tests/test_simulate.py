@@ -1,16 +1,25 @@
-from dataclasses import replace
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eggwave import simulate
 from eggwave.compression import CompressionConfig, compress
+from eggwave.io import STATES
 from eggwave.simulate import (
+    CHANNEL_GAIN_RANGE,
+    GENERATOR_BANDS_CPM,
+    GENERATOR_SPLIT,
+    HARMONIC_WEIGHTS,
+    STATE_POWER,
     CohortSpec,
-    StateModel,
+    _simulate_recording,
+    _state_model,
     simulate_cohort,
-    simulate_recording,
     square_wave_signal,
-    state_model,
 )
 from eggwave.wavelets import Signal
 
@@ -64,67 +73,79 @@ class TestCohortSpec:
         with pytest.raises(ValueError, match=message):
             CohortSpec(subjects=1, channels=1, duration_s=1e20)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", float("nan")])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        message = rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            CohortSpec(subjects=1, channels=1, duration_s=1.0, seed=seed)
+
+    def test_accepts_a_numpy_integer_seed(self):
+        spec = CohortSpec(subjects=1, channels=1, duration_s=1.0, seed=np.int64(7))
+        assert simulate_cohort(spec).seed == 7
+
 
 class TestStateModel:
     def test_generator_counts(self):
         for state, count in (("basal", 1), ("mild", 2), ("severe", 3)):
-            model = state_model(SMALL, 0, state)
+            model = _state_model(SMALL, 0, state)
             assert len(model.frequencies_cpm) == count
 
-    def test_power_budget_enforced(self):
-        model = state_model(SMALL, 0, "mild")
-        with pytest.raises(ValueError, match="budget"):
-            StateModel(
-                state="mild",
-                frequencies_cpm=model.frequencies_cpm,
-                amplitudes=(2.0, 2.0),
-                phases=model.phases,
-                mixing=model.mixing,
-                noise_level=0.1,
-            )
-
-    def test_wrong_generator_count_rejected(self):
-        model = state_model(SMALL, 0, "severe")
-        with pytest.raises(ValueError, match="generator"):
-            StateModel(
-                state="basal",
-                frequencies_cpm=model.frequencies_cpm,
-                amplitudes=model.amplitudes,
-                phases=model.phases,
-                mixing=model.mixing,
-                noise_level=0.1,
-            )
-
-    def test_unknown_state_rejected(self):
-        with pytest.raises(ValueError, match="unknown state"):
-            state_model(SMALL, 0, "chronic")
-
     def test_channel_gains_shared_across_states(self):
-        basal = state_model(SMALL, 1, "basal")
-        severe = state_model(SMALL, 1, "severe")
+        basal = _state_model(SMALL, 1, "basal")
+        severe = _state_model(SMALL, 1, "severe")
         # Row norms equal the per-channel gain, which states share.
         assert np.allclose(
             np.linalg.norm(basal.mixing, axis=1),
             np.linalg.norm(severe.mixing, axis=1),
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        subject=st.integers(0, 15),
+        channels=st.sampled_from([1, 3, 8, 16]),
+        state=st.sampled_from(STATES),
+    )
+    def test_drawn_model_keeps_the_generator_rules(self, seed, subject, channels, state):
+        # The rules a hand-built model could break hold by construction
+        # for every model _state_model draws.
+        spec = CohortSpec(subjects=subject + 1, channels=channels, duration_s=1.0, seed=seed)
+        model = _state_model(spec, subject, state)
+        generators = len(GENERATOR_SPLIT[state])
+        assert model.state == state
+        assert len(model.amplitudes) == len(model.phases) == generators
+        assert all(len(p) == len(HARMONIC_WEIGHTS) for p in model.phases)
+        # One frequency per generator, each inside its own band; the bands
+        # are disjoint and inside 3-8 cpm, so the frequencies are distinct.
+        bands = GENERATOR_BANDS_CPM[state]
+        edges = [edge for band in sorted(bands) for edge in band]
+        assert edges == sorted(set(edges)) and 3.0 <= edges[0] and edges[-1] <= 8.0
+        assert len(model.frequencies_cpm) == generators
+        for f, (lo, hi) in zip(model.frequencies_cpm, bands):
+            assert lo <= f <= hi
+        # Positive amplitudes whose power is the state's, within the basal budget.
+        assert all(a > 0 for a in model.amplitudes)
+        power = sum(a * a / 2.0 for a in model.amplitudes)
+        assert math.isclose(power, STATE_POWER[state], rel_tol=1e-12)
+        assert power <= STATE_POWER["basal"] + 1e-12
+        # A positive, finite (channels, generators) mixing whose row norms are the gains.
+        assert model.mixing.shape == (channels, generators)
+        assert np.all(np.isfinite(model.mixing)) and np.all(model.mixing > 0)
+        gains = np.linalg.norm(model.mixing, axis=1)
+        lo, hi = CHANNEL_GAIN_RANGE
+        assert np.all((gains >= lo - 1e-12) & (gains <= hi + 1e-12))
+
 
 class TestSimulateRecording:
     def test_deterministic(self):
-        model = state_model(SMALL, 2, "mild")
-        first = simulate_recording(SMALL, model, 2)
-        second = simulate_recording(SMALL, state_model(SMALL, 2, "mild"), 2)
+        model = _state_model(SMALL, 2, "mild")
+        first = _simulate_recording(SMALL, model, 2)
+        second = _simulate_recording(SMALL, _state_model(SMALL, 2, "mild"), 2)
         assert np.array_equal(first.samples, second.samples)
 
-    def test_channel_mismatch_rejected(self):
-        model = state_model(SMALL, 0, "basal")
-        other = CohortSpec(subjects=1, channels=4, duration_s=120.0, seed=5)
-        with pytest.raises(ValueError, match="channels"):
-            simulate_recording(other, model, 0)
-
-    def test_noise_free_basal_is_periodic_in_band(self):
-        model = replace(state_model(SMALL, 0, "basal"), noise_level=0.0)
-        rec = simulate_recording(SMALL, model, 0)
+    def test_noise_free_basal_is_periodic_in_band(self, monkeypatch):
+        monkeypatch.setattr(simulate, "NOISE_SIGMA", 0.0)
+        rec = _simulate_recording(SMALL, _state_model(SMALL, 0, "basal"), 0)
         for ch in rec.channel_ids:
             x = rec.channel(ch)
             spectrum = np.abs(np.fft.rfft(x - x.mean()))
@@ -132,21 +153,21 @@ class TestSimulateRecording:
             assert 4.0 <= peak_cpm <= 6.0
 
     def test_basal_has_single_band_peak(self):
-        rec = simulate_recording(SMALL, state_model(SMALL, 1, "basal"), 1)
+        rec = _simulate_recording(SMALL, _state_model(SMALL, 1, "basal"), 1)
         for ch in rec.channel_ids:
             assert len(band_peaks(rec.channel(ch), 10.0)) == 1
 
     def test_severe_has_multiple_band_peaks(self):
-        rec = simulate_recording(SMALL, state_model(SMALL, 1, "severe"), 1)
+        rec = _simulate_recording(SMALL, _state_model(SMALL, 1, "severe"), 1)
         for ch in rec.channel_ids:
             assert len(band_peaks(rec.channel(ch), 10.0)) >= 2
 
-    def test_power_ordering_without_noise(self):
+    def test_power_ordering_without_noise(self, monkeypatch):
+        monkeypatch.setattr(simulate, "NOISE_SIGMA", 0.0)
         for subject in range(SMALL.subjects):
             powers = {}
             for state in ("basal", "mild", "severe"):
-                model = replace(state_model(SMALL, subject, state), noise_level=0.0)
-                rec = simulate_recording(SMALL, model, subject)
+                rec = _simulate_recording(SMALL, _state_model(SMALL, subject, state), subject)
                 powers[state] = np.mean(rec.samples ** 2, axis=0)
             assert np.all(powers["basal"] >= powers["mild"])
             assert np.all(powers["mild"] >= powers["severe"])
@@ -223,22 +244,3 @@ class TestSquareWave:
 def test_zero_duration_rejected():
     with pytest.raises(ValueError, match="^duration and sample rate must be positive$"):
         CohortSpec(subjects=1, channels=1, duration_s=0)
-
-
-@pytest.mark.parametrize("change, message", [
-    ({"state": "chronic"}, "^unknown state 'chronic'"),
-    ({"frequencies_cpm": (4.0,)}, "^mild state needs 2 generator"),
-    ({"amplitudes": (1.0,)}, "^amplitudes and phases must match"),
-    ({"frequencies_cpm": (4.0, 4.0)}, "^generator frequencies must be distinct$"),
-    ({"frequencies_cpm": (4.0, 9.0)}, "^generator frequencies must lie in 3-8 cpm$"),
-    ({"amplitudes": (1.0, 0.0)}, "^generator amplitudes must be positive$"),
-    ({"amplitudes": (1.2, 1.2)}, "^total generator power exceeds the basal budget$"),
-    ({"mixing": np.ones((8, 3))}, r"^mixing must be a \(channels, generators\) matrix$"),
-    ({"mixing": np.zeros((8, 2))}, "^mixing weights must be positive and finite$"),
-    ({"noise_level": -1.0}, "^noise level must be non-negative$"),
-], ids=["state", "count", "amplitudes", "distinct", "band", "positive", "budget",
-        "shape", "weights", "noise"])
-def test_state_model_checks_each_field(change, message):
-    # A mild model has two generators; each change breaks one rule.
-    with pytest.raises(ValueError, match=message):
-        replace(state_model(SMALL, 0, "mild"), **change)
