@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+from pathlib import Path
 
 import click
 
@@ -120,6 +121,10 @@ def simulate(out, subjects, channels, duration, rate, seed):
         sample_rate_hz=rate,
         seed=seed,
     )
+    # write_cohort makes the directory and any missing parents, so the
+    # nearest one that exists must be a directory; checked before any work.
+    if not next(p for p in (Path(out), *Path(out).parents) if p.exists()).is_dir():
+        raise ValueError(f"output path {out} is not a directory")
     manifest = write_cohort(simulate_cohort(spec), out)
     click.echo(f"wrote {spec.subjects * 3} recordings, manifest at {manifest}")
 

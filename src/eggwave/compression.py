@@ -20,6 +20,7 @@ from .wavelets import (
     _forward_rows,
     _inverse_rows,
     _scratch,
+    _whole,
     resolve_wavelet,
     select_scales,
 )
@@ -41,8 +42,10 @@ DEFAULT_TARGET_FREQUENCY_HZ = 5.0 / 60.0
 class CompressionConfig:
     """Settings for one compression run, checked once when it is built.
 
-    ``levels`` may be an explicit depth or ``"auto"``, which picks the
-    depth whose coarsest band lies nearest ``DEFAULT_TARGET_FREQUENCY_HZ``.
+    ``levels`` may be an explicit depth (an ``int`` or numpy integer
+    ``>= 1``, stored as a plain ``int``; a float or a bool is rejected) or
+    ``"auto"``, which picks the depth whose coarsest band lies nearest
+    ``DEFAULT_TARGET_FREQUENCY_HZ``.
     ``filters`` holds the resolved ``wavelet``, so a bad name or an
     off-plane point fails here, not on the first signal.
     """
@@ -55,11 +58,8 @@ class CompressionConfig:
     def __post_init__(self):
         if not self.cr >= 1.0:
             raise ValueError("compression ratio must be at least 1")
-        if isinstance(self.levels, str):
-            if self.levels != "auto":
-                raise ValueError(f"levels must be an integer or 'auto', got {self.levels!r}")
-        elif int(self.levels) != self.levels or self.levels < 1:
-            raise ValueError("levels must be a positive integer or 'auto'")
+        if self.levels != "auto":
+            object.__setattr__(self, "levels", _whole(self.levels, "levels"))
         object.__setattr__(self, "filters", resolve_wavelet(self.wavelet))
 
     def resolve_levels(self, sample_period_s: float, n_samples: int) -> int:
@@ -69,7 +69,7 @@ class CompressionConfig:
             # length, as with an explicit depth.
             max_depth = max(1, int(n_samples).bit_length() - 1)
             return min(chosen, max_depth)
-        return int(self.levels)
+        return self.levels
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,14 @@ def keep_largest(coeffs: DwtCoefficients, keep: int) -> DwtCoefficients:
     ``keep`` grows, provided the signal length is a multiple of
     ``2**levels``.  Otherwise an odd-length level repeats its last sample,
     the transform is no longer orthonormal, and one more kept coefficient
-    can raise the PRD.
+    can raise the PRD.  ``keep`` must be an ``int`` or numpy integer in
+    ``1..total``; a float or a bool is rejected.
     """
     total = coeffs.total_count
-    if int(keep) != keep or not 1 <= keep <= total:
+    keep = _whole(keep, "keep count")
+    if keep > total:
         raise ValueError(f"keep count must be in 1..{total}, got {keep}")
-    return replace(coeffs, flat=np.where(_keep_mask(coeffs.flat, int(keep)), coeffs.flat, 0.0))
+    return replace(coeffs, flat=np.where(_keep_mask(coeffs.flat, keep), coeffs.flat, 0.0))
 
 
 def prd(x, reconstruction) -> float:

@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .wavelets import Signal
+from .wavelets import Signal, _whole
 
 __all__ = [
     "STATES",
@@ -47,7 +47,9 @@ class RecordingFile:
     ``subject`` and ``state`` are stored in the recording's header, in its
     manifest row and in its file name, so each must be non-empty printable
     ASCII with no surrounding whitespace, comma, ``/`` or ``\\``, and must
-    not start with ``#``.  Spaces inside a name are kept.
+    not start with ``#``.  Spaces inside a name are kept.  Each channel id
+    is an ``int`` or numpy integer ``>= 0``, stored as a plain ``int``; a
+    float or a bool is rejected.
 
     ``samples`` is read-only once checked.  The array given is taken over:
     a C-contiguous float64 array that owns its data is frozen in place, and
@@ -78,7 +80,7 @@ class RecordingFile:
                 f"sample rate {rate!r} Hz is too low: {samples.shape[0]} samples "
                 "would span more seconds than a float can hold"
             )
-        ids = tuple(int(c) for c in self.channel_ids)
+        ids = tuple(_whole(c, "channel id", low=0) for c in self.channel_ids)
         if len(set(ids)) != len(ids):
             raise ValueError("channel ids must be unique")
         if samples.shape[1] != len(ids):
@@ -112,9 +114,11 @@ class RecordingFile:
         return self.n_samples / self.sample_rate_hz
 
     def channel(self, channel_id: int) -> np.ndarray:
-        """Samples of one channel, selected by its id."""
+        """Samples of one channel, selected by its id (an ``int`` or numpy
+        integer; a float or a bool is rejected)."""
+        channel_id = _whole(channel_id, "channel id", low=0)
         try:
-            column = self.channel_ids.index(int(channel_id))
+            column = self.channel_ids.index(channel_id)
         except ValueError:
             raise ValueError(
                 f"recording has no channel {channel_id}; ids: {self.channel_ids}"
@@ -346,11 +350,12 @@ class Manifest:
 
 
 def write_manifest(entries, path, seed=None) -> Path:
-    """Write a flat manifest; entry paths are stored relative to it."""
+    """Write a flat manifest; entry paths are stored relative to it.  A
+    ``seed`` other than ``None`` must be an ``int`` or numpy integer ``>= 0``."""
     path = Path(path)
     lines = []
     if seed is not None:
-        lines.append(f"# seed: {int(seed)}")
+        lines.append(f"# seed: {_whole(seed, 'seed', low=0)}")
     lines.append("subject,state,path")
     for subject, state, rec_path in entries:
         rel = Path(rec_path).relative_to(path.parent)
@@ -362,7 +367,7 @@ def read_manifest(path) -> Manifest:
     """Read a manifest and resolve its recording paths.
 
     A manifest has the layout :func:`_read_table` reads: an optional
-    ``# seed:`` header line (an integer; other header keys are ignored), the
+    ``# seed:`` header line (ASCII digits only; other header keys are ignored), the
     column line ``subject,state,path`` and one row per recording.  Duplicate
     (subject, state) entries are rejected; missing recording files are all
     reported in a single error.
@@ -372,10 +377,11 @@ def read_manifest(path) -> Manifest:
     seed = None
     if "seed" in fields:
         line_no, value = fields["seed"]
-        try:
-            seed = int(value)
-        except ValueError:
-            raise ValueError(f"{path}: line {line_no}: malformed seed {value!r}") from None
+        # ASCII digits, as write_manifest writes a seed; int() would also
+        # take a sign, underscores and digits of other scripts.
+        if not (value.isascii() and value.isdigit()):
+            raise ValueError(f"{path}: line {line_no}: malformed seed {value!r}")
+        seed = int(value)
     if columns != "subject,state,path":
         raise ValueError(
             f"{path}: line {column_no}: expected 'subject,state,path' header, got {columns!r}"
@@ -413,7 +419,10 @@ class Cohort:
     Each key must be its recording's own ``(subject, state)``, so that the
     cohort writes a dataset that reads back as itself.  ``recordings`` is a
     read-only view of a private copy of the mapping given, so the key and
-    channel-id checks made here hold for the cohort's life.
+    channel-id checks made here hold for the cohort's life.  A ``seed``
+    other than ``None`` must be an ``int`` or numpy integer ``>= 0`` and is
+    stored as a plain ``int``, so a bad one is rejected before the cohort
+    can be written.
     """
 
     recordings: MappingProxyType
@@ -437,6 +446,8 @@ class Cohort:
                     f"but ({first_subject}, {first_state}) has {first.channel_ids}"
                 )
         object.__setattr__(self, "recordings", MappingProxyType(recordings))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _whole(self.seed, "seed", low=0))
 
     @property
     def subjects(self) -> list:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .compression import CompressionConfig, compress
 from .io import Cohort, _float_rows
-from .wavelets import Signal
+from .wavelets import Signal, _whole
 
 __all__ = [
     "GridSpec",
@@ -35,15 +35,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid over the filter plane (inclusive endpoints)."""
+    """Evaluation grid over the filter plane (inclusive endpoints).
+
+    ``resolution`` is the node count per axis: an ``int`` or numpy integer
+    of at least 8, stored as a plain ``int``; a float or a bool is rejected.
+    """
 
     resolution: int = 64
     a_range: tuple = (-math.pi, math.pi)
     b_range: tuple = (-math.pi, math.pi)
 
     def __post_init__(self):
-        if int(self.resolution) != self.resolution or self.resolution < 8:
-            raise ValueError("grid resolution must be an integer of at least 8")
+        object.__setattr__(self, "resolution", _whole(self.resolution, "grid resolution", low=8))
         for lo, hi in (self.a_range, self.b_range):
             if not (-math.pi <= lo < hi <= math.pi):
                 raise ValueError(
@@ -52,11 +55,11 @@ class GridSpec:
 
     @property
     def a_values(self) -> np.ndarray:
-        return np.linspace(self.a_range[0], self.a_range[1], int(self.resolution))
+        return np.linspace(self.a_range[0], self.a_range[1], self.resolution)
 
     @property
     def b_values(self) -> np.ndarray:
-        return np.linspace(self.b_range[0], self.b_range[1], int(self.resolution))
+        return np.linspace(self.b_range[0], self.b_range[1], self.resolution)
 
 
 @dataclass(frozen=True)
@@ -86,15 +89,19 @@ class PrdSurface:
 
 
 def _scan_depth(cr, levels) -> int:
-    # A plane scan compresses every node at one fixed depth, so neither
-    # "auto" nor a fractional depth is accepted.
-    if isinstance(levels, str) or int(levels) != levels:
+    # A plane scan compresses every node at one fixed depth, so "auto" is
+    # not accepted; CompressionConfig checks any other depth.
+    if levels == "auto":
         raise ValueError(f"a plane scan needs an integer depth, got {levels!r}")
-    return CompressionConfig(cr=float(cr), levels=int(levels)).levels
+    return CompressionConfig(cr=float(cr), levels=levels).levels
 
 
 def prd_surface(x, grid: GridSpec, cr: float = 3.0, levels: int = 6) -> PrdSurface:
-    """Evaluate the compression PRD at every plane point of a grid."""
+    """Evaluate the compression PRD at every plane point of a grid.
+
+    ``levels`` is the one fixed depth of every node: an ``int`` or numpy
+    integer ``>= 1``; ``"auto"``, a float or a bool is rejected.
+    """
     signal = x if isinstance(x, Signal) else Signal(x)
     cr, levels = float(cr), _scan_depth(cr, levels)
     a_values, b_values = grid.a_values, grid.b_values
@@ -213,7 +220,8 @@ def match_cohort(
 
     One recording is one (subject, channel) trace.  Each gets a PRD
     surface; its global argmin (optionally refined by a sub-grid pass)
-    enters the cohort aggregate.
+    enters the cohort aggregate.  ``levels`` is checked as by
+    :func:`prd_surface`, before any trace is scanned.
     """
     levels = _scan_depth(cr, levels)
     traces = cohort.apply(

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import STATES, Cohort, RecordingFile
+from .wavelets import _whole
 
 __all__ = [
     "CohortSpec",
@@ -70,8 +71,10 @@ _GAIN_STREAM = 10_007  # rng stream tag, distinct from any state index
 class CohortSpec:
     """Shape and seed of a synthetic cohort, checked when it is built.
 
-    ``seed`` must be a non-negative ``int`` or numpy integer, so a bad seed
-    is rejected here rather than by numpy's generator mid-simulation.
+    ``subjects`` and ``channels`` must be positive and ``seed``
+    non-negative, each an ``int`` or numpy integer (stored as a plain
+    ``int``; a float or a bool is rejected), so a bad count or seed is
+    rejected here rather than by numpy mid-simulation.
     """
 
     subjects: int = 16
@@ -81,8 +84,8 @@ class CohortSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.subjects < 1 or self.channels < 1:
-            raise ValueError("subject and channel counts must be positive")
+        for name, low in (("subjects", 1), ("channels", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, low))
         if not (self.duration_s > 0 and self.sample_rate_hz > 0):
             raise ValueError("duration and sample rate must be positive")
         n = self.duration_s * self.sample_rate_hz
@@ -95,8 +98,6 @@ class CohortSpec:
                 f"duration_s {self.duration_s!r} at sample_rate_hz {self.sample_rate_hz!r} "
                 f"gives {round(n)} samples, more than a float64 array can hold"
             )
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def n_samples(self) -> int:
@@ -207,10 +208,11 @@ def square_wave_signal(n_samples: int, step_samples: int = 8, seed: int = 0) -> 
 
     Dyadic step widths keep every discontinuity aligned with the subband
     supports, so the Haar filter represents the signal exactly while
-    smooth filters must spend coefficients on every edge.
+    smooth filters must spend coefficients on every edge.  Both counts
+    must be positive, each an ``int`` or numpy integer.
     """
-    if n_samples < 1 or step_samples < 1:
-        raise ValueError("sample counts must be positive")
+    n_samples = _whole(n_samples, "sample count")
+    step_samples = _whole(step_samples, "step width")
     rng = np.random.default_rng(seed)
     n_steps = -(-n_samples // step_samples)
     levels = rng.choice([-1.0, 1.0], size=n_steps)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .compression import CompressionConfig, _prd_scores
 from .io import Cohort
+from .wavelets import _whole
 
 __all__ = [
     "TestOutcome",
@@ -430,8 +431,10 @@ def compare_paired(group_a, group_b, channel: int, alpha: float = DEFAULT_ALPHA)
     paired t test when normality is not rejected and to the Wilcoxon
     signed-rank test otherwise, and the row is significant when the routed
     test's p-value is below ``alpha``.  Each group needs at least the
-    gate's 4 values.
+    gate's 4 values.  ``channel`` is an ``int`` or numpy integer ``>= 0``;
+    a float or a bool is rejected.
     """
+    channel = _whole(channel, "channel", low=0)
     _check_level(alpha)
     a = _as_diffs(group_a, LILLIEFORS_MIN_VALUES, "paired comparison")
     b = _as_diffs(group_b, LILLIEFORS_MIN_VALUES, "paired comparison")
@@ -447,7 +450,7 @@ def compare_paired(group_a, group_b, channel: int, alpha: float = DEFAULT_ALPHA)
     else:
         outcome = wilcoxon_signed_rank(diffs)
     return ChannelComparison(
-        channel=int(channel),
+        channel=channel,
         test_name=outcome.test_name,
         delta_mean=float(diffs.mean()),
         delta_sd=float(diffs.std(ddof=1)),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,12 +51,39 @@ DAUBECHIES3_POINT = (1.3598037324443641, -0.7821063847427728)
 COIFLET1_POINT = (-1.1467652873046936, -0.424031039490202)
 
 
+def _whole(value, name: str, low: int = 1) -> int:
+    # The one rule for a whole-number setting: an int or numpy integer, not
+    # a bool, of at least ``low``; it comes back as a plain int, so a float
+    # is never truncated.  operator.index, not an isinstance check against
+    # numbers.Integral, which costs ~3.5x as much: a plane scan builds one
+    # CompressionConfig per node.
+    if not isinstance(value, bool):
+        try:
+            whole = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if whole >= low:
+                return whole
+    kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+        low, f"an integer of at least {low}"
+    )
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_period(sample_period_s) -> None:
+    # An infinite period would pass as positive and make every pseudo
+    # frequency 0, so automatic depth selection would pick depth 1.
+    if not 0 < sample_period_s < math.inf:
+        raise ValueError(f"sample period must be positive and finite, got {sample_period_s!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Signal:
     """A uniformly sampled real signal.
 
-    Samples must be finite and non-empty; the default sample period of
-    0.1 s matches 10 Hz acquisition.
+    Samples must be finite and non-empty, and the sample period positive
+    and finite; the default of 0.1 s matches 10 Hz acquisition.
     """
 
     samples: np.ndarray
@@ -67,8 +95,7 @@ class Signal:
             raise ValueError("signal must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(samples)):
             raise ValueError("signal samples must all be finite")
-        if not self.sample_period_s > 0:
-            raise ValueError("sample period must be positive")
+        _check_period(self.sample_period_s)
         samples = samples.copy()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
@@ -391,12 +418,11 @@ def dwt_forward(x, filters: FilterPair, levels: int) -> DwtCoefficients:
     filters : FilterPair
         Analysis filters of the chosen wavelet.
     levels : int
-        Decomposition depth ``>= 1``.
+        Decomposition depth: an ``int`` or numpy integer ``>= 1``; a float
+        (even a whole one) or a bool is rejected.
     """
     signal = x if isinstance(x, Signal) else Signal(x)
-    if isinstance(levels, str) or int(levels) != levels or levels < 1:
-        raise ValueError(f"decomposition depth must be a positive integer, got {levels!r}")
-    flat, lengths = _forward_rows(signal.samples, filters, int(levels))
+    flat, lengths = _forward_rows(signal.samples, filters, _whole(levels, "decomposition depth"))
     return DwtCoefficients(
         flat=flat, input_lengths=lengths, sample_period_s=signal.sample_period_s
     )
@@ -478,12 +504,11 @@ def pseudo_frequency(filters: FilterPair, level: int, sample_period_s: float) ->
     """Characteristic frequency (Hz) of a decomposition level.
 
     The wavelet's spectral peak mapped to the dyadic band of the level:
-    ``center_frequency(filters) / (2**level * sample_period_s)``.
+    ``center_frequency(filters) / (2**level * sample_period_s)``.  The
+    level must be a positive integer and the period positive and finite.
     """
-    if int(level) != level or level < 1:
-        raise ValueError("scale index must be a positive integer")
-    if not sample_period_s > 0:
-        raise ValueError("sample period must be positive")
+    level = _whole(level, "scale index")
+    _check_period(sample_period_s)
     return center_frequency(filters) / (2.0 ** level * sample_period_s)
 
 
@@ -498,10 +523,13 @@ def select_scales(
 
     Scans levels ``1..32`` for the minimizer of
     ``|pseudo_frequency(level) - target_frequency_hz|``; ties resolve to
-    the shallower level.
+    the shallower level.  The period and the target must be positive and
+    finite.
     """
-    if not target_frequency_hz > 0:
-        raise ValueError("target frequency must be positive")
+    if not 0 < target_frequency_hz < math.inf:
+        raise ValueError(
+            f"target frequency must be positive and finite, got {target_frequency_hz!r}"
+        )
     return min(
         range(1, MAX_AUTO_LEVELS + 1),
         key=lambda k: abs(pseudo_frequency(filters, k, sample_period_s) - target_frequency_hz),

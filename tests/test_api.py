@@ -1,7 +1,10 @@
 import dataclasses
 import inspect
+import math
+import re
 import types
 
+import numpy as np
 import pytest
 
 import eggwave
@@ -125,3 +128,79 @@ def test_no_name_is_public_in_two_modules():
 
 def test_cli_runs_the_batterys_own_settings_check():
     assert not hasattr(cli, "_check_level")
+
+
+def test_whole_number_rule_is_stated_once():
+    # Every whole-number setting goes through the one helper.
+    for module in (compression, matcher, simulate, io, stats):
+        assert module._whole is wavelets._whole, module.__name__
+
+
+HAAR = wavelets.named_wavelet("haar")
+COEFFS = wavelets.dwt_forward(np.arange(1.0, 65.0), HAAR, 2)
+RECORDING = io.RecordingFile("d", "basal", 10.0, (7, 8), np.ones((4, 2)))
+GROUP_A, GROUP_B = [1.0, 2.0, 3.0, 4.0, 5.0], [1.5, 2.1, 3.9, 4.2, 6.0]
+
+# (call with the value and a temporary directory, name in the message, least
+# value, whether None means "not set"); each site also takes a numpy integer.
+WHOLE_SITES = {
+    "dwt_forward": (lambda v, _: wavelets.dwt_forward(np.ones(64), HAAR, v),
+                    "decomposition depth", 1, False),
+    "pseudo_frequency": (lambda v, _: wavelets.pseudo_frequency(HAAR, v, 0.1),
+                         "scale index", 1, False),
+    "CompressionConfig": (lambda v, _: compression.CompressionConfig(levels=v), "levels", 1, False),
+    "keep_largest": (lambda v, _: compression.keep_largest(COEFFS, v), "keep count", 1, False),
+    "GridSpec": (lambda v, _: matcher.GridSpec(resolution=v), "grid resolution", 8, False),
+    "prd_surface": (lambda v, _: matcher.prd_surface(np.ones(64), matcher.GridSpec(8), levels=v),
+                    "levels", 1, False),
+    "CohortSpec.subjects": (lambda v, _: simulate.CohortSpec(subjects=v, duration_s=1.0),
+                            "subjects", 1, False),
+    "CohortSpec.channels": (lambda v, _: simulate.CohortSpec(channels=v, duration_s=1.0),
+                            "channels", 1, False),
+    "CohortSpec.seed": (lambda v, _: simulate.CohortSpec(seed=v, duration_s=1.0), "seed", 0, False),
+    "square_wave.n": (lambda v, _: simulate.square_wave_signal(v), "sample count", 1, False),
+    "square_wave.step": (lambda v, _: simulate.square_wave_signal(16, v), "step width", 1, False),
+    "RecordingFile": (lambda v, _: io.RecordingFile("d", "basal", 10.0, (v,), np.ones((4, 1))),
+                      "channel id", 0, False),
+    "RecordingFile.channel": (lambda v, _: RECORDING.channel(v), "channel id", 0, False),
+    "Cohort.apply": (lambda v, _: list(Cohort({("d", "basal"): RECORDING}).apply(
+        lambda signals: signals, channels=[v])), "channel id", 0, False),
+    "Cohort.seed": (lambda v, _: Cohort({("d", "basal"): RECORDING}, seed=v), "seed", 0, True),
+    "write_manifest": (lambda v, tmp: io.write_manifest([], tmp / "manifest.txt", seed=v),
+                       "seed", 0, True),
+    "compare_paired": (lambda v, _: stats.compare_paired(GROUP_A, GROUP_B, v), "channel", 0, False),
+}
+
+
+@pytest.mark.parametrize("site, bad", [
+    (site, bad)
+    for site, (_, _, _, none_is_unset) in WHOLE_SITES.items()
+    for bad in (2.5, math.nan, math.inf, "3", None, True, "low - 1")
+    if not (bad is None and none_is_unset)
+])
+def test_a_whole_number_setting_takes_only_an_integer(site, bad, tmp_path):
+    call, name, low, _ = WHOLE_SITES[site]
+    bad = low - 1 if bad == "low - 1" else bad
+    kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+        low, f"an integer of at least {low}")
+    message = f"{name} must be {kind}, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad, tmp_path)
+
+
+@pytest.mark.parametrize("site", WHOLE_SITES)
+def test_a_whole_number_setting_takes_a_numpy_integer(site, tmp_path):
+    call, _, low, _ = WHOLE_SITES[site]
+    good = {"keep_largest": 3, "RecordingFile.channel": 7, "Cohort.apply": 8}.get(site, low + 1)
+    call(np.int64(good), tmp_path)
+
+
+def test_a_checked_whole_number_is_stored_as_int():
+    stored = [
+        compression.CompressionConfig(levels=np.int64(3)).levels,
+        matcher.GridSpec(resolution=np.int32(9)).resolution,
+        simulate.CohortSpec(subjects=np.int64(2), channels=np.int64(1), seed=np.int64(7)).seed,
+        Cohort({("d", "basal"): RECORDING}, seed=np.uint8(7)).seed,
+        io.RecordingFile("d", "basal", 10.0, (np.int64(7),), np.ones((4, 1))).channel_ids[0],
+    ]
+    assert [type(v) for v in stored] == [int] * len(stored)

@@ -79,6 +79,19 @@ class TestSimulate:
         assert not (tmp_path / "x").exists()
 
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_under_a_file_is_rejected_before_simulating(self, tmp_path, monkeypatch, out):
+        def fail(spec):
+            raise AssertionError("simulated before the output path was checked")
+
+        monkeypatch.setattr(cli, "simulate_cohort", fail)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        result = run("simulate", "--out", out)
+        assert result.exit_code == 1
+        assert result.output == f"Error: output path {out} is not a directory\n"
+
+
 class TestCompress:
     def test_cr_one_is_lossless_everywhere(self, dataset):
         result = run("compress", "--data", dataset, "--cr", "1")

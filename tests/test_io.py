@@ -398,6 +398,18 @@ class TestManifest:
         with pytest.raises(ValueError, match=r"manifest\.txt: line 1: malformed seed 'abc'"):
             read_manifest(manifest_path)
 
+    @pytest.mark.parametrize("value", ["-3", "7_000", "+7"])
+    def test_seed_is_plain_digits(self, tmp_path, value):
+        # int() takes each of these, but no cohort has a negative seed and
+        # the others would write back as other text.
+        manifest_path = write_cohort(make_cohort(), tmp_path)
+        lines = manifest_path.read_text().splitlines()
+        lines[0] = f"# seed: {value}"
+        manifest_path.write_text("\n".join(lines) + "\n")
+        message = rf"manifest\.txt: line 1: malformed seed {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            read_manifest(manifest_path)
+
 
 def identity(signals):
     return signals

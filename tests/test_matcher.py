@@ -87,7 +87,10 @@ class TestPrdSurface:
 
     @pytest.mark.parametrize("levels, shown", [(2.5, "2.5"), ("auto", "'auto'")])
     def test_depth_must_be_an_integer(self, levels, shown):
-        with pytest.raises(ValueError, match=rf"^a plane scan needs an integer depth, got {shown}$"):
+        # "auto" is the scan's own error; any other bad depth is the config's.
+        rule = "a plane scan needs an integer depth" if levels == "auto" else (
+            "levels must be a positive integer")
+        with pytest.raises(ValueError, match=rf"^{rule}, got {shown}$"):
             prd_surface(np.ones(64), GridSpec(resolution=8), levels=levels)
 
     def test_deterministic(self):
@@ -408,7 +411,7 @@ class TestExports:
 def test_fractional_match_depth_is_a_scan_error(monkeypatch):
     cohort = simulate_cohort(CohortSpec(subjects=3, duration_s=5.0, seed=3))
     monkeypatch.setattr(matcher, "prd_surface", None)  # any scan would fail on the call
-    with pytest.raises(ValueError, match=r"^a plane scan needs an integer depth, got 2\.5$"):
+    with pytest.raises(ValueError, match=r"^levels must be a positive integer, got 2\.5$"):
         match_cohort(cohort, levels=2.5)
 
 

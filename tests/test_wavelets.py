@@ -540,6 +540,18 @@ class TestPseudoFrequency:
             pseudo_frequency(named_wavelet("haar"), 0, 0.1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Signal(np.ones(4), sample_period_s=math.inf), "sample period"),
+    (lambda: pseudo_frequency(named_wavelet("haar"), 3, math.inf), "sample period"),
+    (lambda: select_scales(named_wavelet("haar"), 0.1, math.inf), "target frequency"),
+], ids=["signal", "pseudo_frequency", "select_scales"])
+def test_an_infinite_period_or_target_is_rejected(call, message):
+    # With either one infinite every level is equally far from the target,
+    # so automatic depth selection would silently pick depth 1.
+    with pytest.raises(ValueError, match=rf"^{message} must be positive and finite, got inf$"):
+        call()
+
+
 class TestSelectScales:
     TARGET = 5.0 / 60.0  # 5 cpm
 
@@ -562,7 +574,7 @@ class TestSelectScales:
         with pytest.raises(ValueError):
             select_scales(named_wavelet("haar"), 0.1, 0.0)
 
-    @pytest.mark.parametrize("period", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize("period", [0.0, -0.1, math.nan, math.inf])
     def test_rejects_bad_period(self, period):
         with pytest.raises(ValueError, match="sample period must be positive"):
             select_scales(named_wavelet("haar"), period, self.TARGET)
