@@ -26,7 +26,7 @@ from .io import (
 )
 from .matcher import (
     GridSpec,
-    _scan_depth,
+    _scan_settings,
     _scan_trace,
     match_cohort,
     minima_to_csv,
@@ -164,7 +164,8 @@ def compress_command(data, wavelet, cr, depth, out):
 def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
     """PRD surface of one recording channel over the filter plane."""
     spec = GridSpec(resolution=grid)
-    depth = _scan_depth(cr, parse_depth(depth))  # rejects a bad ratio or depth before any read
+    # Rejects a bad ratio or depth before any read.
+    cr, depth = _scan_settings(cr, parse_depth(depth))
     _check_outputs([recording], out_csv, out_pgm)
     rec = read_recording(recording)
     [(_, _, _, scan)] = Cohort({(rec.subject, rec.state): rec}).apply(
@@ -195,7 +196,8 @@ def surface(recording, channel, grid, cr, depth, refine, out_csv, out_pgm):
 def match(data, state, grid, cr, depth, channels, refine, out):
     """Best-matching plane point per recording and the cohort aggregate."""
     spec = GridSpec(resolution=grid)
-    depth = _scan_depth(cr, parse_depth(depth))  # rejects a bad ratio or depth before any read
+    # Rejects a bad ratio or depth before any read.
+    cr, depth = _scan_settings(cr, parse_depth(depth))
     selected = None if channels == "all" else _parse_list(
         channels, int, f"channels must be comma-separated ids, got {channels!r}"
     )

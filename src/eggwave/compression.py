@@ -19,6 +19,7 @@ from .wavelets import (
     Signal,
     _forward_rows,
     _inverse_rows,
+    _real,
     _scratch,
     _whole,
     resolve_wavelet,
@@ -42,6 +43,9 @@ DEFAULT_TARGET_FREQUENCY_HZ = 5.0 / 60.0
 class CompressionConfig:
     """Settings for one compression run, checked once when it is built.
 
+    ``cr`` is the compression ratio: a finite ``int``, ``float`` or numpy
+    number of at least 1, stored as a plain ``float``; a bool, a string or
+    an infinite ratio is rejected.
     ``levels`` may be an explicit depth (an ``int`` or numpy integer
     ``>= 1``, stored as a plain ``int``; a float or a bool is rejected) or
     ``"auto"``, which picks the depth whose coarsest band lies nearest
@@ -56,8 +60,8 @@ class CompressionConfig:
     filters: FilterPair = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.cr >= 1.0:
-            raise ValueError("compression ratio must be at least 1")
+        cr = _real(self.cr, "compression ratio", "at least 1 and finite")
+        object.__setattr__(self, "cr", cr)
         if self.levels != "auto":
             object.__setattr__(self, "levels", _whole(self.levels, "levels"))
         object.__setattr__(self, "filters", resolve_wavelet(self.wavelet))
@@ -181,7 +185,7 @@ def compress(x, config: CompressionConfig = CompressionConfig()) -> CompressionR
         prd_percent=prd_percent,
         kept_indices=np.flatnonzero(mask),
         levels=levels,
-        cr=float(config.cr),
+        cr=config.cr,
     )
 
 

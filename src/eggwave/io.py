@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .wavelets import Signal, _whole
+from .wavelets import Signal, _real, _whole
 
 __all__ = [
     "STATES",
@@ -49,7 +49,9 @@ class RecordingFile:
     ASCII with no surrounding whitespace, comma, ``/`` or ``\\``, and must
     not start with ``#``.  Spaces inside a name are kept.  Each channel id
     is an ``int`` or numpy integer ``>= 0``, stored as a plain ``int``; a
-    float or a bool is rejected.
+    float or a bool is rejected.  ``sample_rate_hz`` is a positive, finite
+    ``int``, ``float`` or numpy number, stored as a plain ``float``; a bool
+    or a string is rejected.
 
     ``samples`` is read-only once checked.  The array given is taken over:
     a C-contiguous float64 array that owns its data is frozen in place, and
@@ -70,12 +72,10 @@ class RecordingFile:
             raise ValueError("samples must form a non-empty 2-D matrix")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must all be finite")
-        rate = self.sample_rate_hz
-        if not (rate > 0 and math.isfinite(rate)):
-            raise ValueError(f"sample rate must be positive and finite, got {rate!r} Hz")
+        rate = _real(self.sample_rate_hz, "sample rate")
         # The writer stamps sample i at i * (1 / rate) and records the
         # duration n / rate; both must be finite for the file to read back.
-        if not math.isfinite(samples.shape[0] / float(rate)):
+        if not math.isfinite(samples.shape[0] / rate):
             raise ValueError(
                 f"sample rate {rate!r} Hz is too low: {samples.shape[0]} samples "
                 "would span more seconds than a float can hold"
@@ -103,6 +103,7 @@ class RecordingFile:
                 )
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "sample_rate_hz", rate)
         object.__setattr__(self, "channel_ids", ids)
 
     @property
@@ -268,11 +269,25 @@ def _parse_header_number(header, key, path):
     return value
 
 
+def _header_ints(text: str):
+    # The comma-separated integers of a header value, or None unless the
+    # value is spelled exactly as the writers spell them, so that it reads
+    # back as itself: int() alone would also take a sign, spaces, leading
+    # zeros, underscores and digits of other scripts.
+    try:
+        values = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        return None
+    return values if ",".join(str(v) for v in values) == text else None
+
+
 def read_recording(path) -> RecordingFile:
     """Read a recording CSV, rejecting malformed headers, ragged rows,
     non-numeric or non-finite cells and ``time_s`` values off the sample
     grid (more than half a period from ``i / sample_rate_hz``) with
-    line/column diagnostics."""
+    line/column diagnostics.  The ``# channels:`` header must spell the ids
+    as :func:`write_recording` does (``7,8``: no spaces, signs or leading
+    zeros), so that it reads back as itself."""
     path = Path(path)
     header, (column_no, columns), line_nos, body = _read_table(path)
     for required in ("subject", "state", "sample_rate_hz", "channels"):
@@ -280,12 +295,9 @@ def read_recording(path) -> RecordingFile:
             raise ValueError(f"{path}: missing header field '{required}'")
 
     channels_no, channels = header["channels"]
-    try:
-        channel_ids = tuple(int(t) for t in channels.split(","))
-    except ValueError:
-        raise ValueError(
-            f"{path}: line {channels_no}: malformed channels header {channels!r}"
-        ) from None
+    channel_ids = _header_ints(channels)
+    if channel_ids is None:
+        raise ValueError(f"{path}: line {channels_no}: malformed channels header {channels!r}")
     sample_rate = _parse_header_number(header, "sample_rate_hz", path)
 
     expected_columns = "time_s," + ",".join(f"ch{c}" for c in channel_ids)
@@ -367,21 +379,22 @@ def read_manifest(path) -> Manifest:
     """Read a manifest and resolve its recording paths.
 
     A manifest has the layout :func:`_read_table` reads: an optional
-    ``# seed:`` header line (ASCII digits only; other header keys are ignored), the
-    column line ``subject,state,path`` and one row per recording.  Duplicate
-    (subject, state) entries are rejected; missing recording files are all
-    reported in a single error.
+    ``# seed:`` header line (a non-negative integer spelled as
+    :func:`write_manifest` writes it: ASCII digits with no sign, underscore
+    or leading zero; other header keys are ignored), the column line
+    ``subject,state,path`` and one row per recording.  Duplicate (subject,
+    state) entries are rejected; missing recording files are all reported
+    in a single error.
     """
     path = Path(path)
     fields, (column_no, columns), line_nos, rows = _read_table(path)
     seed = None
     if "seed" in fields:
         line_no, value = fields["seed"]
-        # ASCII digits, as write_manifest writes a seed; int() would also
-        # take a sign, underscores and digits of other scripts.
-        if not (value.isascii() and value.isdigit()):
+        ints = _header_ints(value)
+        if ints is None or len(ints) != 1 or ints[0] < 0:
             raise ValueError(f"{path}: line {line_no}: malformed seed {value!r}")
-        seed = int(value)
+        seed = ints[0]
     if columns != "subject,state,path":
         raise ValueError(
             f"{path}: line {column_no}: expected 'subject,state,path' header, got {columns!r}"

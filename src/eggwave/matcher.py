@@ -88,22 +88,26 @@ class PrdSurface:
         return (float(self.a_values[i]), float(self.b_values[j]), float(self.prd[i, j]))
 
 
-def _scan_depth(cr, levels) -> int:
-    # A plane scan compresses every node at one fixed depth, so "auto" is
-    # not accepted; CompressionConfig checks any other depth.
+def _scan_settings(cr, levels) -> tuple:
+    # The checked ratio and depth of a plane scan.  It compresses every node
+    # at one fixed depth, so "auto" is not accepted; CompressionConfig
+    # checks the ratio and any other depth.
     if levels == "auto":
         raise ValueError(f"a plane scan needs an integer depth, got {levels!r}")
-    return CompressionConfig(cr=float(cr), levels=levels).levels
+    config = CompressionConfig(cr=cr, levels=levels)
+    return config.cr, config.levels
 
 
 def prd_surface(x, grid: GridSpec, cr: float = 3.0, levels: int = 6) -> PrdSurface:
     """Evaluate the compression PRD at every plane point of a grid.
 
-    ``levels`` is the one fixed depth of every node: an ``int`` or numpy
-    integer ``>= 1``; ``"auto"``, a float or a bool is rejected.
+    ``cr`` is checked as by :class:`CompressionConfig` (a finite number of
+    at least 1; a bool or a string is rejected) and ``levels`` is the one
+    fixed depth of every node: an ``int`` or numpy integer ``>= 1``;
+    ``"auto"``, a float or a bool is rejected.
     """
     signal = x if isinstance(x, Signal) else Signal(x)
-    cr, levels = float(cr), _scan_depth(cr, levels)
+    cr, levels = _scan_settings(cr, levels)
     a_values, b_values = grid.a_values, grid.b_values
     values = [
         [
@@ -220,10 +224,10 @@ def match_cohort(
 
     One recording is one (subject, channel) trace.  Each gets a PRD
     surface; its global argmin (optionally refined by a sub-grid pass)
-    enters the cohort aggregate.  ``levels`` is checked as by
+    enters the cohort aggregate.  ``cr`` and ``levels`` are checked as by
     :func:`prd_surface`, before any trace is scanned.
     """
-    levels = _scan_depth(cr, levels)
+    cr, levels = _scan_settings(cr, levels)
     traces = cohort.apply(
         lambda signals: (_scan_trace(s, grid, cr, levels, refine).argmin for s in signals),
         [state],
@@ -233,7 +237,7 @@ def match_cohort(
         PlaneMinimum(subject=subject, channel=int(ch), a=a, b=b, prd_percent=value)
         for subject, _, ch, (a, b, value) in traces
     ]
-    return MatchResult(minima=tuple(minima), cr=float(cr), levels=levels)
+    return MatchResult(minima=tuple(minima), cr=cr, levels=levels)
 
 
 def surface_to_csv(surface: PrdSurface) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import STATES, Cohort, RecordingFile
-from .wavelets import _whole
+from .wavelets import _real, _whole
 
 __all__ = [
     "CohortSpec",
@@ -74,7 +74,10 @@ class CohortSpec:
     ``subjects`` and ``channels`` must be positive and ``seed``
     non-negative, each an ``int`` or numpy integer (stored as a plain
     ``int``; a float or a bool is rejected), so a bad count or seed is
-    rejected here rather than by numpy mid-simulation.
+    rejected here rather than by numpy mid-simulation.  ``duration_s`` and
+    ``sample_rate_hz`` must be positive, finite ``int``, ``float`` or numpy
+    numbers (stored as plain ``float``; a bool or a string is rejected)
+    whose product is a whole sample count a float64 array can hold.
     """
 
     subjects: int = 16
@@ -86,8 +89,8 @@ class CohortSpec:
     def __post_init__(self):
         for name, low in (("subjects", 1), ("channels", 1), ("seed", 0)):
             object.__setattr__(self, name, _whole(getattr(self, name), name, low))
-        if not (self.duration_s > 0 and self.sample_rate_hz > 0):
-            raise ValueError("duration and sample rate must be positive")
+        for name in ("duration_s", "sample_rate_hz"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         n = self.duration_s * self.sample_rate_hz
         if not math.isfinite(n):
             raise ValueError(f"duration times sample rate must be a finite sample count, got {n!r}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .compression import CompressionConfig, _prd_scores
 from .io import Cohort
-from .wavelets import _whole
+from .wavelets import _real, _whole
 
 __all__ = [
     "TestOutcome",
@@ -57,11 +57,6 @@ DEFAULT_ALPHA = 0.05
 SWEEP_PAIRS = (("basal", "mild"), ("basal", "severe"))
 
 _STATISTICS_LABEL = {"paired-t": "Student", "wilcoxon": "Wilcoxon"}
-
-
-def _check_level(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"significance level must be in (0, 1), got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -432,10 +427,11 @@ def compare_paired(group_a, group_b, channel: int, alpha: float = DEFAULT_ALPHA)
     signed-rank test otherwise, and the row is significant when the routed
     test's p-value is below ``alpha``.  Each group needs at least the
     gate's 4 values.  ``channel`` is an ``int`` or numpy integer ``>= 0``;
-    a float or a bool is rejected.
+    a float or a bool is rejected.  ``alpha`` is an ``int``, ``float`` or
+    numpy number in ``(0, 1)``; a bool or a string is rejected.
     """
     channel = _whole(channel, "channel", low=0)
-    _check_level(alpha)
+    alpha = _real(alpha, "significance level", "in (0, 1)")
     a = _as_diffs(group_a, LILLIEFORS_MIN_VALUES, "paired comparison")
     b = _as_diffs(group_b, LILLIEFORS_MIN_VALUES, "paired comparison")
     if a.size != b.size:
@@ -483,23 +479,25 @@ def _prd_table(cohort: Cohort, states, config: CompressionConfig, crs) -> dict:
 
 
 def _battery_settings(crs, wavelet, levels, alpha: float):
-    # The battery's cohort-free checks: the distinct ratios in first-seen
-    # order, and the compression config of the first one.
-    crs = list(dict.fromkeys(crs))
-    if not crs:
-        raise ValueError("sweep needs at least one compression ratio")
+    # The battery's cohort-free checks, every ratio before the level: the
+    # ratios as checked floats in the order given, repeats kept, and the
+    # compression config of the first one.
     configs = [CompressionConfig(wavelet=wavelet, cr=cr, levels=levels) for cr in crs]
-    _check_level(alpha)
-    return crs, configs[0]
+    if not configs:
+        raise ValueError("sweep needs at least one compression ratio")
+    _real(alpha, "significance level", "in (0, 1)")
+    return [config.cr for config in configs], configs[0]
 
 
-def _battery(cohort: Cohort, crs, pairs, wavelet, levels, alpha: float) -> dict:
+def _battery(cohort: Cohort, crs, pairs, wavelet, levels, alpha: float) -> tuple:
+    # The checked ratios (as _battery_settings gives them) and
     # {(cr, state_a, state_b): comparison rows over sorted channels}, each
     # distinct ratio scored once, in first-seen order, for each of the
     # distinct two-state ``pairs``.  Settings, the cohort's size and each
     # pair's states and recordings are checked before any signal is
     # compressed; a failing channel is named with its pair.
     crs, config = _battery_settings(crs, wavelet, levels, alpha)
+    distinct = list(dict.fromkeys(crs))
     count = len(cohort.subjects)
     if count < LILLIEFORS_MIN_VALUES:
         raise ValueError(
@@ -518,9 +516,9 @@ def _battery(cohort: Cohort, crs, pairs, wavelet, levels, alpha: float) -> dict:
         except ValueError as error:
             raise ValueError(f"state pair {state_a}:{state_b}: {error}") from None
     states = list(dict.fromkeys(state for pair in pairs for state in pair))
-    table = _prd_table(cohort, states, config, crs)
+    table = _prd_table(cohort, states, config, distinct)
     battery = {}
-    for cr in crs:
+    for cr in distinct:
         for state_a, state_b in pairs:
             prds_a, prds_b = table[(cr, state_a)], table[(cr, state_b)]
             rows = battery[(cr, state_a, state_b)] = []
@@ -529,7 +527,7 @@ def _battery(cohort: Cohort, crs, pairs, wavelet, levels, alpha: float) -> dict:
                     rows.append(compare_paired(prds_a[ch], prds_b[ch], ch, alpha))
                 except ValueError as error:
                     raise ValueError(f"channel {ch}, {state_a}:{state_b}: {error}") from error
-    return battery
+    return crs, battery
 
 
 def state_prds(
@@ -545,7 +543,7 @@ def state_prds(
     raises ``ValueError`` naming its subject, state and channel.
     """
     config = CompressionConfig(wavelet=wavelet, cr=cr, levels=levels)
-    return _prd_table(cohort, [state], config, [cr])[(cr, state)]
+    return _prd_table(cohort, [state], config, [config.cr])[(config.cr, state)]
 
 
 def compare_states(
@@ -565,7 +563,7 @@ def compare_states(
     compressed.  A channel that cannot be compared raises ``ValueError``
     naming it and the pair (``"channel C, A:B: ..."``).
     """
-    battery = _battery(cohort, [cr], [(state_a, state_b)], wavelet, levels, alpha)
+    [cr], battery = _battery(cohort, [cr], [(state_a, state_b)], wavelet, levels, alpha)
     return battery[(cr, state_a, state_b)]
 
 
@@ -580,13 +578,15 @@ def cr_sweep(
 
     Gives one point per listed ratio and pair of :data:`SWEEP_PAIRS`
     (basal:mild, then basal:severe), ratio by ratio in the order given; a
-    repeated ratio is scored once and its points repeated.  No ratios, or a
-    cohort :func:`compare_states` would reject for either pair (missing
-    recordings too), fails before any signal is compressed.  Cohort size
-    and channel errors are reported as by :func:`compare_states`.
+    repeated ratio is scored once and its points repeated.  Each ratio is
+    checked as by :class:`CompressionConfig` (a finite number of at least
+    1; a bool or a string is rejected) and is reported as a plain float.
+    No ratios, a bad ratio or level, or a cohort :func:`compare_states`
+    would reject for either pair (missing recordings too), fails before any
+    signal is compressed.  Cohort size and channel errors are reported as
+    by :func:`compare_states`.
     """
-    crs = [float(c) for c in crs]
-    battery = _battery(cohort, crs, SWEEP_PAIRS, wavelet, levels, alpha)
+    crs, battery = _battery(cohort, crs, SWEEP_PAIRS, wavelet, levels, alpha)
     points = []
     for cr in crs:
         for state_a, state_b in SWEEP_PAIRS:

@@ -71,19 +71,42 @@ def _whole(value, name: str, low: int = 1) -> int:
     raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
-def _check_period(sample_period_s) -> None:
-    # An infinite period would pass as positive and make every pseudo
-    # frequency 0, so automatic depth selection would pick depth 1.
-    if not 0 < sample_period_s < math.inf:
-        raise ValueError(f"sample period must be positive and finite, got {sample_period_s!r}")
+#: The intervals a real-valued setting may be confined to, keyed by the
+#: words its error message uses: (low, whether low is allowed, high).
+_REAL_INTERVALS = {
+    "positive and finite": (0.0, False, math.inf),
+    "at least 1 and finite": (1.0, True, math.inf),
+    "in (0, 1)": (0.0, False, 1.0),
+}
+
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _real(value, name: str, kind: str = "positive and finite") -> float:
+    # The one rule for a real-valued setting: an int, float or numpy
+    # number, not a bool, finite and inside the interval ``kind`` names; it
+    # comes back as a plain float, so a string is never converted.  An
+    # isinstance tuple, not numbers.Real, which costs ~3.4x as much: every
+    # plane node builds a CompressionConfig and a Signal.
+    low, low_allowed, high = _REAL_INTERVALS[kind]
+    if isinstance(value, _REAL_TYPES) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:  # an int beyond the float range
+            real = math.inf
+        if (low < real or (low_allowed and real == low)) and real < high:
+            return real
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class Signal:
     """A uniformly sampled real signal.
 
-    Samples must be finite and non-empty, and the sample period positive
-    and finite; the default of 0.1 s matches 10 Hz acquisition.
+    Samples must be finite and non-empty.  The sample period must be a
+    positive, finite ``int``, ``float`` or numpy number (a bool or a string
+    is rejected) and is stored as a plain ``float``; the default of 0.1 s
+    matches 10 Hz acquisition.
     """
 
     samples: np.ndarray
@@ -95,10 +118,11 @@ class Signal:
             raise ValueError("signal must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(samples)):
             raise ValueError("signal samples must all be finite")
-        _check_period(self.sample_period_s)
+        period = _real(self.sample_period_s, "sample period")
         samples = samples.copy()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "sample_period_s", period)
 
     @property
     def sample_rate_hz(self) -> float:
@@ -505,10 +529,11 @@ def pseudo_frequency(filters: FilterPair, level: int, sample_period_s: float) ->
 
     The wavelet's spectral peak mapped to the dyadic band of the level:
     ``center_frequency(filters) / (2**level * sample_period_s)``.  The
-    level must be a positive integer and the period positive and finite.
+    level must be a positive integer and the period a positive, finite
+    number (not a bool or a string).
     """
     level = _whole(level, "scale index")
-    _check_period(sample_period_s)
+    sample_period_s = _real(sample_period_s, "sample period")
     return center_frequency(filters) / (2.0 ** level * sample_period_s)
 
 
@@ -523,13 +548,10 @@ def select_scales(
 
     Scans levels ``1..32`` for the minimizer of
     ``|pseudo_frequency(level) - target_frequency_hz|``; ties resolve to
-    the shallower level.  The period and the target must be positive and
-    finite.
+    the shallower level.  The period and the target must be positive,
+    finite numbers (not bools or strings).
     """
-    if not 0 < target_frequency_hz < math.inf:
-        raise ValueError(
-            f"target frequency must be positive and finite, got {target_frequency_hz!r}"
-        )
+    target_frequency_hz = _real(target_frequency_hz, "target frequency")
     return min(
         range(1, MAX_AUTO_LEVELS + 1),
         key=lambda k: abs(pseudo_frequency(filters, k, sample_period_s) - target_frequency_hz),

@@ -204,3 +204,98 @@ def test_a_checked_whole_number_is_stored_as_int():
         io.RecordingFile("d", "basal", 10.0, (np.int64(7),), np.ones((4, 1))).channel_ids[0],
     ]
     assert [type(v) for v in stored] == [int] * len(stored)
+
+
+def test_real_rule_is_stated_once():
+    # Every real-valued setting goes through the one helper.
+    for module in (compression, io, simulate, stats):
+        assert module._real is wavelets._real, module.__name__
+    assert not hasattr(wavelets, "_check_period")
+    assert not hasattr(stats, "_check_level")
+
+
+@pytest.fixture(scope="module")
+def small_cohort():
+    # Four subjects of one 128-sample channel: enough for the battery.
+    return simulate.simulate_cohort(simulate.CohortSpec(subjects=4, channels=1, duration_s=12.8))
+
+
+POSITIVE, RATIO, LEVEL = "positive and finite", "at least 1 and finite", "in (0, 1)"
+
+# (call with the value and a small cohort, name in the message, the words
+# for its interval); each site also takes a numpy float.
+REAL_SITES = {
+    "Signal": (lambda v, _: wavelets.Signal(np.ones(4), sample_period_s=v),
+               "sample period", POSITIVE),
+    "pseudo_frequency": (lambda v, _: wavelets.pseudo_frequency(HAAR, 3, v),
+                         "sample period", POSITIVE),
+    "select_scales": (lambda v, _: wavelets.select_scales(HAAR, 0.1, v),
+                      "target frequency", POSITIVE),
+    "CompressionConfig": (lambda v, _: compression.CompressionConfig(cr=v),
+                          "compression ratio", RATIO),
+    "prd_surface": (lambda v, _: matcher.prd_surface(np.arange(1.0, 65.0), matcher.GridSpec(8),
+                                                     cr=v, levels=2),
+                    "compression ratio", RATIO),
+    "match_cohort": (lambda v, c: matcher.match_cohort(c, grid=matcher.GridSpec(8), cr=v, levels=2),
+                     "compression ratio", RATIO),
+    "compare_states": (lambda v, c: stats.compare_states(c, "basal", "severe", cr=v),
+                       "compression ratio", RATIO),
+    "cr_sweep": (lambda v, c: stats.cr_sweep(c, [v]), "compression ratio", RATIO),
+    "RecordingFile": (lambda v, _: io.RecordingFile("d", "basal", v, (7,), np.ones((4, 1))),
+                      "sample rate", POSITIVE),
+    "CohortSpec.duration_s": (lambda v, _: simulate.CohortSpec(duration_s=v),
+                              "duration_s", POSITIVE),
+    "CohortSpec.sample_rate_hz": (lambda v, _: simulate.CohortSpec(sample_rate_hz=v),
+                                  "sample_rate_hz", POSITIVE),
+    "compare_paired": (lambda v, _: stats.compare_paired(GROUP_A, GROUP_B, 7, alpha=v),
+                       "significance level", LEVEL),
+    "cr_sweep.alpha": (lambda v, c: stats.cr_sweep(c, [3.0], alpha=v),
+                       "significance level", LEVEL),
+}
+
+# The nearest value outside each interval.
+JUST_OUTSIDE = {POSITIVE: 0.0, RATIO: math.nextafter(1.0, 0.0), LEVEL: 1.0}
+
+BAD_REALS = {
+    "bool": True, "string": "3", "none": None, "nan": math.nan, "inf": math.inf,
+    "-inf": -math.inf, "huge-int": 10 ** 400, "outside": "just outside",
+}
+
+
+@pytest.mark.parametrize("site, bad", [
+    pytest.param(site, bad, id=f"{site}-{label}")
+    for site in REAL_SITES for label, bad in BAD_REALS.items()
+])
+def test_a_real_setting_takes_only_a_finite_number(site, bad, small_cohort):
+    call, name, kind = REAL_SITES[site]
+    bad = JUST_OUTSIDE[kind] if bad == "just outside" else bad
+    message = f"{name} must be {kind}, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad, small_cohort)
+
+
+@pytest.mark.parametrize("site, good", [
+    (site, good)
+    for site, (_, _, kind) in REAL_SITES.items()
+    for good in {POSITIVE: (np.float64(0.5), np.int64(2)),
+                 RATIO: (np.float64(2.5), np.int64(3)),
+                 LEVEL: (np.float64(0.05),)}[kind]
+])
+def test_a_real_setting_takes_a_numpy_float(site, good, small_cohort):
+    call, _, _ = REAL_SITES[site]
+    call(good, small_cohort)
+
+
+def test_a_checked_real_number_is_stored_as_float():
+    spec = simulate.CohortSpec(duration_s=np.int64(60), sample_rate_hz=np.float32(10))
+    x = np.arange(1.0, 65.0)
+    stored = [
+        wavelets.Signal(x, sample_period_s=np.int64(2)).sample_period_s,
+        compression.CompressionConfig(cr=3).cr,
+        compression.compress(x, compression.CompressionConfig(cr=np.int64(3), levels=2)).cr,
+        matcher.prd_surface(x, matcher.GridSpec(8), cr=np.int64(3), levels=2).cr,
+        io.RecordingFile("d", "basal", np.int64(10), (7,), np.ones((4, 1))).sample_rate_hz,
+        spec.duration_s,
+        spec.sample_rate_hz,
+    ]
+    assert [type(v) for v in stored] == [float] * len(stored)

@@ -55,8 +55,13 @@ class TestSimulate:
         assert "Error:" in result.output
 
 
+    def test_infinite_duration_is_data_error(self, tmp_path):
+        result = run("simulate", "--out", tmp_path / "x", "--duration", "inf")
+        assert result.exit_code == 1
+        assert result.output == "Error: duration_s must be positive and finite, got inf\n"
+
     @pytest.mark.parametrize("args", [
-        ["--duration", "inf"],
+        ["--duration", "1e308"],
         ["--rate", "1e300", "--duration", "1e10"],
     ])
     def test_non_finite_sample_count_is_data_error(self, tmp_path, args):

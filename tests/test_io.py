@@ -60,7 +60,8 @@ class TestRecordingValidation:
 
     @pytest.mark.parametrize("rate", [math.inf, math.nan, -1.0, 0.0])
     def test_rejects_non_finite_or_non_positive_rate(self, rate):
-        with pytest.raises(ValueError, match=f"got {rate!r} Hz"):
+        message = f"^sample rate must be positive and finite, got {re.escape(repr(rate))}$"
+        with pytest.raises(ValueError, match=message):
             RecordingFile("d", "basal", rate, (7,), np.zeros((3, 1)))
 
     @pytest.mark.parametrize("rate,n", [(5e-324, 1), (1e-310, 1), (1e-308, 3)])
@@ -398,7 +399,7 @@ class TestManifest:
         with pytest.raises(ValueError, match=r"manifest\.txt: line 1: malformed seed 'abc'"):
             read_manifest(manifest_path)
 
-    @pytest.mark.parametrize("value", ["-3", "7_000", "+7"])
+    @pytest.mark.parametrize("value", ["-3", "7_000", "+7", "007"])
     def test_seed_is_plain_digits(self, tmp_path, value):
         # int() takes each of these, but no cohort has a negative seed and
         # the others would write back as other text.
@@ -807,7 +808,12 @@ class TestPlainChecks:
         ("duration_s", "nan", "line 4: non-finite duration_s header 'nan'"),
         ("channels", "7,8,x", "line 5: malformed channels header '7,8,x'"),
         ("duration_s", "99", r"line 4: declared duration 99\.0 s does not match 4 samples"),
-    ], ids=["malformed-rate", "non-finite-duration", "malformed-channels", "duration-mismatch"])
+        # int() takes each of these, but they would write back as "7,8,9".
+        ("channels", "+7, 08, 9", r"line 5: malformed channels header '\+7, 08, 9'$"),
+        ("channels", "7, 8, 9", "line 5: malformed channels header '7, 8, 9'$"),
+        ("channels", "07,8,9", "line 5: malformed channels header '07,8,9'$"),
+    ], ids=["malformed-rate", "non-finite-duration", "malformed-channels", "duration-mismatch",
+            "signed-padded-channels", "spaced-channels", "zero-padded-channels"])
     def test_header_value_errors_name_their_line(self, tmp_path, key, value, message):
         path = write_recording(make_recording(n=4), tmp_path / "r.csv")
         path.write_text(re.sub(rf"(?m)^# {key}: .*$", f"# {key}: {value}", path.read_text()))

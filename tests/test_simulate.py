@@ -50,7 +50,6 @@ class TestCohortSpec:
             CohortSpec(duration_s=0.25, sample_rate_hz=10.0)
 
     @pytest.mark.parametrize("duration_s, sample_rate_hz", [
-        (float("inf"), 10.0),
         (1e10, 1e300),
         (1e308, 10.0),
     ])
@@ -242,5 +241,5 @@ class TestSquareWave:
 
 
 def test_zero_duration_rejected():
-    with pytest.raises(ValueError, match="^duration and sample rate must be positive$"):
+    with pytest.raises(ValueError, match="^duration_s must be positive and finite, got 0$"):
         CohortSpec(subjects=1, channels=1, duration_s=0)

@@ -517,7 +517,7 @@ class TestSignificanceLevel:
             cr_sweep(flat_cohort, [2.0, 3.0], alpha=alpha)
 
     def test_a_bad_setting_is_reported_before_the_level(self, flat_cohort):
-        message = r"^compression ratio must be at least 1$"
+        message = r"^compression ratio must be at least 1 and finite, got 0\.5$"
         with pytest.raises(ValueError, match=message):
             compare_states(flat_cohort, "basal", "severe", cr=0.5, alpha=2.0)
         with pytest.raises(ValueError, match=message):
@@ -837,7 +837,7 @@ class TestBatteryInputsCheckedFirst:
         assert spy.call_count == 0
 
     @pytest.mark.parametrize("crs, alpha, message", [
-        ([0.5], 0.05, "compression ratio must be at least 1"),
+        ([0.5], 0.05, "compression ratio must be at least 1 and finite, got 0.5"),
         ([3.0], 1.0, "significance level must be in (0, 1), got 1.0"),
     ], ids=["ratio", "alpha"])
     def test_settings_are_checked_before_the_pairs(self, cohort, crs, alpha, message):
