@@ -50,8 +50,10 @@ class CompressionConfig:
     ``>= 1``, stored as a plain ``int``; a float or a bool is rejected) or
     ``"auto"``, which picks the depth whose coarsest band lies nearest
     ``DEFAULT_TARGET_FREQUENCY_HZ``.
-    ``filters`` holds the resolved ``wavelet``, so a bad name or an
-    off-plane point fails here, not on the first signal.
+    ``filters`` holds the resolved ``wavelet``, so a bad name or a bad
+    plane point fails here, not on the first signal.  A plane point's two
+    angles are checked as by :func:`pollen_filter`: each an ``int``,
+    ``float`` or numpy number in ``[-pi, pi]``, not a bool or a string.
     """
 
     wavelet: object = "daubechies-3"

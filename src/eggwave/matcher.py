@@ -15,7 +15,7 @@ import numpy as np
 
 from .compression import CompressionConfig, compress
 from .io import Cohort, _float_rows
-from .wavelets import Signal, _whole
+from .wavelets import Signal, _real, _whole
 
 __all__ = [
     "GridSpec",
@@ -39,6 +39,13 @@ class GridSpec:
 
     ``resolution`` is the node count per axis: an ``int`` or numpy integer
     of at least 8, stored as a plain ``int``; a float or a bool is rejected.
+    ``a_range`` and ``b_range`` are each a ``(low, high)`` pair of plane
+    angles with ``low < high``.  Each end is an ``int``, ``float`` or numpy
+    number in ``[-pi, pi]`` (not a bool or a string), and the pair is
+    stored as a tuple of plain floats, so a spec is hashable.  A bad range
+    is reported under its field's name, e.g. ``a_range must be in [-pi,
+    pi], got 4.0``, ``a_range must be a (low, high) pair, got 0`` or
+    ``a_range (1.0, 0.0) must be increasing``.
     """
 
     resolution: int = 64
@@ -47,11 +54,16 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "resolution", _whole(self.resolution, "grid resolution", low=8))
-        for lo, hi in (self.a_range, self.b_range):
-            if not (-math.pi <= lo < hi <= math.pi):
-                raise ValueError(
-                    f"grid range ({lo}, {hi}) must be increasing and within [-pi, pi]"
-                )
+        for name in ("a_range", "b_range"):
+            pair = getattr(self, name)
+            try:
+                lo, hi = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a (low, high) pair, got {pair!r}") from None
+            lo, hi = _real(lo, name, "in [-pi, pi]"), _real(hi, name, "in [-pi, pi]")
+            if not lo < hi:
+                raise ValueError(f"{name} {(lo, hi)} must be increasing")
+            object.__setattr__(self, name, (lo, hi))
 
     @property
     def a_values(self) -> np.ndarray:

@@ -72,11 +72,14 @@ def _whole(value, name: str, low: int = 1) -> int:
 
 
 #: The intervals a real-valued setting may be confined to, keyed by the
-#: words its error message uses: (low, whether low is allowed, high).
+#: words its error message uses: (least allowed float, greatest allowed
+#: float).  An open end is given as the float next to it, so one closed
+#: comparison serves every kind and rejects NaN and the infinities.
 _REAL_INTERVALS = {
-    "positive and finite": (0.0, False, math.inf),
-    "at least 1 and finite": (1.0, True, math.inf),
-    "in (0, 1)": (0.0, False, 1.0),
+    "positive and finite": (math.nextafter(0.0, 1.0), math.nextafter(math.inf, 0.0)),
+    "at least 1 and finite": (1.0, math.nextafter(math.inf, 0.0)),
+    "in (0, 1)": (math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)),
+    "in [-pi, pi]": (-math.pi, math.pi),
 }
 
 _REAL_TYPES = (int, float, np.integer, np.floating)
@@ -88,13 +91,13 @@ def _real(value, name: str, kind: str = "positive and finite") -> float:
     # comes back as a plain float, so a string is never converted.  An
     # isinstance tuple, not numbers.Real, which costs ~3.4x as much: every
     # plane node builds a CompressionConfig and a Signal.
-    low, low_allowed, high = _REAL_INTERVALS[kind]
+    low, high = _REAL_INTERVALS[kind]
     if isinstance(value, _REAL_TYPES) and not isinstance(value, bool):
         try:
             real = float(value)
         except OverflowError:  # an int beyond the float range
             real = math.inf
-        if (low < real or (low_allowed and real == low)) and real < high:
+        if low <= real <= high:
             return real
     raise ValueError(f"{name} must be {kind}, got {value!r}")
 
@@ -252,10 +255,12 @@ def pollen_filter(a: float, b: float) -> FilterPair:
     Parameters
     ----------
     a, b : float
-        Plane coordinates in radians, each within ``[-pi, pi]``.
+        Plane coordinates in radians: each an ``int``, ``float`` or numpy
+        number in ``[-pi, pi]``, not a bool or a string.  A bad one is
+        reported as, e.g., ``plane angle a must be in [-pi, pi], got 9.0``.
     """
-    if not (-math.pi <= a <= math.pi and -math.pi <= b <= math.pi):
-        raise ValueError(f"plane point ({a}, {b}) outside [-pi, pi] x [-pi, pi]")
+    a = _real(a, "plane angle a", "in [-pi, pi]")
+    b = _real(b, "plane angle b", "in [-pi, pi]")
     ca, sa = math.cos(a), math.sin(a)
     cb, sb = math.cos(b), math.sin(b)
     cab, sab = math.cos(a - b), math.sin(a - b)
@@ -272,7 +277,8 @@ def resolve_wavelet(spec) -> FilterPair:
     """Resolve a wavelet specification to analysis filters.
 
     Accepts a :class:`FilterPair` (returned unchanged), a family name, or
-    a plane point ``(a, b)`` in radians.
+    a plane point ``(a, b)`` in radians, whose angles are checked as by
+    :func:`pollen_filter`.
     """
     if isinstance(spec, FilterPair):
         return spec
@@ -282,7 +288,7 @@ def resolve_wavelet(spec) -> FilterPair:
         a, b = spec
     except (TypeError, ValueError):
         raise ValueError(f"cannot interpret wavelet spec {spec!r}") from None
-    return pollen_filter(float(a), float(b))
+    return pollen_filter(a, b)
 
 
 @dataclass(frozen=True, eq=False)

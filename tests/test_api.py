@@ -221,6 +221,7 @@ def small_cohort():
 
 
 POSITIVE, RATIO, LEVEL = "positive and finite", "at least 1 and finite", "in (0, 1)"
+ANGLE = "in [-pi, pi]"
 
 # (call with the value and a small cohort, name in the message, the words
 # for its interval); each site also takes a numpy float.
@@ -251,10 +252,19 @@ REAL_SITES = {
                        "significance level", LEVEL),
     "cr_sweep.alpha": (lambda v, c: stats.cr_sweep(c, [3.0], alpha=v),
                        "significance level", LEVEL),
+    "pollen_filter.a": (lambda v, _: wavelets.pollen_filter(v, 0.0), "plane angle a", ANGLE),
+    "pollen_filter.b": (lambda v, _: wavelets.pollen_filter(0.0, v), "plane angle b", ANGLE),
+    "CompressionConfig.wavelet": (lambda v, _: compression.CompressionConfig(wavelet=(0.0, v)),
+                                  "plane angle b", ANGLE),
+    "GridSpec.a_range": (lambda v, _: matcher.GridSpec(a_range=(v, math.pi)), "a_range", ANGLE),
+    "GridSpec.b_range": (lambda v, _: matcher.GridSpec(b_range=(-math.pi, v)), "b_range", ANGLE),
 }
 
 # The nearest value outside each interval.
-JUST_OUTSIDE = {POSITIVE: 0.0, RATIO: math.nextafter(1.0, 0.0), LEVEL: 1.0}
+JUST_OUTSIDE = {
+    POSITIVE: 0.0, RATIO: math.nextafter(1.0, 0.0), LEVEL: 1.0,
+    ANGLE: math.nextafter(math.pi, 4.0),
+}
 
 BAD_REALS = {
     "bool": True, "string": "3", "none": None, "nan": math.nan, "inf": math.inf,
@@ -279,7 +289,8 @@ def test_a_real_setting_takes_only_a_finite_number(site, bad, small_cohort):
     for site, (_, _, kind) in REAL_SITES.items()
     for good in {POSITIVE: (np.float64(0.5), np.int64(2)),
                  RATIO: (np.float64(2.5), np.int64(3)),
-                 LEVEL: (np.float64(0.05),)}[kind]
+                 LEVEL: (np.float64(0.05),),
+                 ANGLE: (np.float64(0.5), np.int64(-3), 2)}[kind]
 ])
 def test_a_real_setting_takes_a_numpy_float(site, good, small_cohort):
     call, _, _ = REAL_SITES[site]
@@ -299,3 +310,47 @@ def test_a_checked_real_number_is_stored_as_float():
         spec.sample_rate_hz,
     ]
     assert [type(v) for v in stored] == [float] * len(stored)
+
+
+def test_plane_angles_follow_the_real_rule():
+    assert matcher._real is wavelets._real
+
+
+def test_a_plane_angle_may_be_either_end_of_the_plane():
+    for a, b in [(-math.pi, math.pi), (math.pi, -math.pi), (np.float64(math.pi), -3)]:
+        wavelets.pollen_filter(a, b)
+        compression.CompressionConfig(wavelet=(a, b))
+    grid = matcher.GridSpec(8, a_range=(-math.pi, np.float64(math.pi)), b_range=(-3, math.pi))
+    assert (grid.a_range, grid.b_range) == ((-math.pi, math.pi), (-3.0, math.pi))
+
+
+def test_a_plane_angle_gives_the_same_filter_whatever_its_type():
+    angles = np.linspace(-math.pi, math.pi, 9)
+    assert (angles[0], angles[-1]) == (-math.pi, math.pi)
+    for a in angles:
+        for b in angles:
+            expected = wavelets.pollen_filter(float(a), float(b)).h.tobytes()
+            assert wavelets.pollen_filter(a, b).h.tobytes() == expected
+            assert compression.CompressionConfig(wavelet=(a, b)).filters.h.tobytes() == expected
+
+
+def test_a_grid_range_is_stored_as_a_hashable_pair_of_floats():
+    grid = matcher.GridSpec(8, a_range=[np.int64(-3), 1], b_range=(np.float32(-1), np.float64(2)))
+    assert grid.a_range == (-3.0, 1.0) and grid.b_range == (-1.0, 2.0)
+    assert [type(v) for v in grid.a_range + grid.b_range] == [float] * 4
+    assert hash(grid) == hash(matcher.GridSpec(8, a_range=(-3.0, 1.0), b_range=(-1.0, 2.0)))
+
+
+@pytest.mark.parametrize("field", ["a_range", "b_range"])
+@pytest.mark.parametrize("bad, words", [
+    (0, "must be a (low, high) pair, got 0"),
+    (None, "must be a (low, high) pair, got None"),
+    ((0.5,), "must be a (low, high) pair, got (0.5,)"),
+    ((0, 1, 2), "must be a (low, high) pair, got (0, 1, 2)"),
+    ((1, 0), "(1.0, 0.0) must be increasing"),
+    ((0.5, 0.5), "(0.5, 0.5) must be increasing"),
+])
+def test_a_grid_range_is_an_increasing_pair(field, bad, words):
+    message = f"{field} {words}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        matcher.GridSpec(**{field: bad})

@@ -1,3 +1,4 @@
+import importlib
 import os
 import platform
 import shutil
@@ -6,6 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -311,7 +313,7 @@ class TestSettingErrors:
         [
             (["compress", "--wavelet", "daubechies-4"], "Error: unknown wavelet 'daubechies-4'"),
             (["stats", "--wavelet", "pollen:9,0", "--depth", "2"],
-             "Error: plane point (9.0, 0.0) outside"),
+             "Error: plane angle a must be in [-pi, pi], got 9.0"),
             (["match", "--depth", "0", "--grid", "8"],
              "Error: levels must be a positive integer"),
             (["match", "--cr", "0.5", "--grid", "8"],
@@ -347,7 +349,8 @@ class TestSettingErrors:
             (["stats", "--wavelet", "daubechies-4"], "Error: unknown wavelet 'daubechies-4'"),
             (["stats", "--alpha", "1.5"], "Error: significance level must be in (0, 1), got 1.5"),
             (["sweep", "--crs", "2,0.5"], "Error: compression ratio must be at least 1"),
-            (["sweep", "--wavelet", "pollen:9,0"], "Error: plane point (9.0, 0.0) outside"),
+            (["sweep", "--wavelet", "pollen:9,0"],
+             "Error: plane angle a must be in [-pi, pi], got 9.0"),
             (["sweep", "--alpha", "2"], "Error: significance level must be in (0, 1), got 2.0"),
             (["match", "--cr", "0.5", "--grid", "8"], "Error: compression ratio must be at least 1"),
             (["match", "--depth", "0", "--grid", "8"], "Error: levels must be a positive integer"),
@@ -428,6 +431,17 @@ class TestParsers:
         result = run(*(a.format(missing=missing) for a in args), "--depth", depth)
         assert result.exit_code == 1
         assert result.output == f"Error: {message}\n"
+
+
+def test_console_script_is_the_click_command():
+    # pip turns this [project.scripts] entry into the installed `eggwave`.
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"eggwave": "eggwave.cli:main"}
+    module, _, name = scripts["eggwave"].partition(":")
+    command = getattr(importlib.import_module(module), name)
+    assert isinstance(command, click.Command) and command is main
 
 
 def test_sweep_without_out_prints_the_curve(dataset):

@@ -135,9 +135,9 @@ class TestPollenFilter:
         assert worst < 1e-10
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"^plane angle a must be in \[-pi, pi\], got 3\.5$"):
             pollen_filter(3.5, 0.0)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"^plane angle b must be in \[-pi, pi\], got -3\.5$"):
             pollen_filter(0.0, -3.5)
 
     def test_continuity(self):
