@@ -142,7 +142,7 @@ def compress_command(data, wavelet, cr, depth, out):
     )
     cohort = _load_cohort(data, out)
     lines = ["subject,state,channel,kept,total_coefficients,prd_percent"]
-    scores = functools.partial(_prd_scores, config=config, crs=[config.cr], work={})
+    scores = functools.partial(_prd_scores, config=config, crs=[config.cr])
     for subject, state, ch, (total, [kept], [value]) in cohort.apply(scores):
         lines.append(f"{subject},{state},{ch},{kept},{total},{value:.6f}")
     table = "\n".join(lines) + "\n"

@@ -19,8 +19,8 @@ from .wavelets import (
     Signal,
     _forward_rows,
     _inverse_rows,
+    _plane_point,
     _real,
-    _scratch,
     _whole,
     resolve_wavelet,
     select_scales,
@@ -54,6 +54,7 @@ class CompressionConfig:
     plane point fails here, not on the first signal.  A plane point's two
     angles are checked as by :func:`pollen_filter`: each an ``int``,
     ``float`` or numpy number in ``[-pi, pi]``, not a bool or a string.
+    The point is stored as a tuple of plain floats, so a config hashes.
     """
 
     wavelet: object = "daubechies-3"
@@ -62,10 +63,11 @@ class CompressionConfig:
     filters: FilterPair = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cr = _real(self.cr, "compression ratio", "at least 1 and finite")
-        object.__setattr__(self, "cr", cr)
+        object.__setattr__(self, "cr", _real(self.cr, "compression ratio", "at least 1 and finite"))
         if self.levels != "auto":
             object.__setattr__(self, "levels", _whole(self.levels, "levels"))
+        if not isinstance(self.wavelet, (str, FilterPair)):
+            object.__setattr__(self, "wavelet", _plane_point(self.wavelet))
         object.__setattr__(self, "filters", resolve_wavelet(self.wavelet))
 
     def resolve_levels(self, sample_period_s: float, n_samples: int) -> int:
@@ -136,31 +138,34 @@ def prd(x, reconstruction) -> float:
     return _prd(ref.samples, rec.samples)
 
 
-def _prd(ref: np.ndarray, rec: np.ndarray):
-    # prd of a sample vector against one equal-length row (a float), or
-    # against each row of a (k, n) stack (a list), with the reference energy
-    # summed once; ``rec`` may be a workspace view.  An overflowed energy is
-    # an error, not a warning and a nan (inf / inf).  Energies are summed by
-    # numpy's own pairwise loop, row by row, not BLAS dot, whose summation
-    # order depends on the CPU kernel OpenBLAS picks.
+def _prd(ref: np.ndarray, rec: np.ndarray) -> float:
+    # prd of a sample vector against one equal-length row, by the direct
+    # form: the residual energy is summed from the rebuilt samples.
+    with np.errstate(over="ignore"):
+        diff = ref - rec
+        return _percent(ref, np.add.reduce(np.multiply(diff, diff, out=diff), keepdims=True))[0]
+
+
+def _percent(ref: np.ndarray, residual):
+    # PRD per residual energy in the 1-D array ``residual``, against the
+    # energy of the samples ``ref``, summed once.  An overflowed energy is
+    # an error, not a warning and a nan (inf / inf).  Every energy is
+    # summed by numpy's own pairwise loop, row by row, not BLAS dot, whose
+    # summation order depends on the CPU kernel OpenBLAS picks.
     with np.errstate(over="ignore"):
         energy = float(np.add.reduce(ref * ref))
-        if energy == 0.0:
-            raise ValueError("reference signal has zero energy")
-        diff = ref - rec
-        diff *= diff
-        residual = np.add.reduce(diff, axis=-1)
+    if energy == 0.0:
+        raise ValueError("reference signal has zero energy")
     if not (math.isfinite(energy) and np.isfinite(residual).all()):
         raise ValueError("signal energy overflows a float")
-    scores = [math.sqrt(r / energy) * 100.0 for r in np.atleast_1d(residual).tolist()]
-    return scores if rec.ndim > 1 else scores[0]
+    return [math.sqrt(r / energy) * 100.0 for r in residual.tolist()]
 
 
-#: Rows (signals x ratios) that one block of _compress_block rebuilds in
-#: one stacked inverse pass.  The synthesis workspace holds one buffer per
-#: role sized for the finest level, so ten rows take about as much memory
-#: as the five ratio rows of one signal took with a buffer set per level;
-#: the measured choices are listed in the ROADMAP.
+#: Rows (signals x ratios) that one block of _prd_scores scores together.
+#: The dropped-coefficient rows of a block are nearly as long as its
+#: signals, so whole-recording blocks (8 signals x 5 ratios in the sweep)
+#: raised the sweep's peak by 2.3 MB and tripled its minor faults for a
+#: median within the noise; see the ROADMAP's "Do not retry".
 _BLOCK_ROWS = 10
 
 
@@ -169,15 +174,19 @@ def compress(x, config: CompressionConfig = CompressionConfig()) -> CompressionR
 
     Runs the forward transform, keeps the ``floor(total / cr)`` largest
     coefficients (at least one), reconstructs, and scores the PRD against
-    the original samples.  Deterministic for identical inputs.  PRD is
-    non-increasing in the kept count only when ``len(x)`` is a multiple
-    of ``2**levels``; see :func:`keep_largest`.
+    the original samples by the direct form: ``prd(x, reconstruction)``,
+    bit for bit (a PRD table agrees within the README's bound).
+    Deterministic for identical inputs.  PRD is non-increasing in the kept
+    count only when ``len(x)`` is a multiple of ``2**levels``; see
+    :func:`keep_largest`.
     """
     signal = x if isinstance(x, Signal) else Signal(x)
-    # No workspace: one signal has nothing to reuse, and a fresh one would
-    # free every level's buffers together at the end, which lets glibc
-    # trim the heap top and fault those pages in again on the next call.
-    levels, [kept], [[mask]], [[row]] = _compress_block((signal,), config, (config.cr,), None)
+    # A dropped negative coefficient is masked to -0.0, not +0.0, but every
+    # synthesis sum starts from +0.0, so the row rebuilds bit for bit as
+    # from keep_largest's np.where.
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels, [kept], [[mask]], [flat], lengths, _ = _forward_keep((signal,), config, [config.cr])
+        row = _inverse_rows(np.multiply(mask, flat), lengths, config.filters)
     # Scored first, so an overflowed row reads as the energy error it is.
     prd_percent = _prd(signal.samples, row)
     return CompressionResult(
@@ -191,50 +200,69 @@ def compress(x, config: CompressionConfig = CompressionConfig()) -> CompressionR
     )
 
 
-def _prd_scores(signals, config: CompressionConfig, crs, work):
+def _prd_scores(signals, config: CompressionConfig, crs):
     # Yields (total coefficients, kept count per ratio, PRD per ratio) for
-    # each of one recording's signals in order, each as compress gives at
-    # that ratio, from blocks of as many signals as fit in _BLOCK_ROWS rows
-    # (at least one) rebuilt in the caller's workspace ``work``.  A signal
-    # is scored only when it is reached, so its error is raised there.
+    # each of one recording's signals in order, each at the kept count
+    # compress gives at that ratio, from blocks of as many signals as fit
+    # in _BLOCK_ROWS rows (at least one).  A signal is scored only when it
+    # is reached, so its error is raised there.
     step = max(1, _BLOCK_ROWS // len(crs))
     for start in range(0, len(signals), step):
         block = signals[start : start + step]
-        _, kept, masks, rows = _compress_block(block, config, crs, work)
-        for signal, signal_rows in zip(block, rows):
-            yield masks.shape[-1], kept, _prd(signal.samples, signal_rows)
+        total, kept, residuals = _residual_energies(block, config, crs)
+        for signal, residual in zip(block, residuals):
+            yield total, kept, _percent(signal.samples, residual)
 
 
-# An overflowing transform leaves inf and nan rows for _prd to report as
-# the energy overflow they are, with no numpy warning before that error.
 @np.errstate(over="ignore", invalid="ignore")
-def _compress_block(signals, config: CompressionConfig, crs, work) -> tuple:
-    # Compress every signal of ``signals`` (one block of a recording's
+def _residual_energies(signals, config: CompressionConfig, crs) -> tuple:
+    # The total coefficient count, the kept count per ratio and the
+    # residual energy ||x - rec||^2 of each (signal, ratio), shape
+    # (signals, ratios), read from the coefficients keep-M drops rather
+    # than from rebuilt signals.  Let J be the first level whose input
+    # length is odd (the depth when none is).  Each level before J is an
+    # orthonormal map, so its share of the residual is the energy of its
+    # dropped details:
+    #     ||x - rec||^2 = ||a_J - rebuilt a_J||^2 + sum_{j<J} ||dropped d_{j+1}||^2
+    # where a_J is the forward pass's level-J input and rebuilt a_J the
+    # inverse of the masked coarse part of ``flat`` (levels J..depth).  At
+    # 6000 samples and depth 7, J = 4 and the inverse rebuilds 375 samples,
+    # not 6000; a dyadic length needs no inverse.  An odd length has J = 0:
+    # the full inverse, summed as the direct form sums it.  The dropped
+    # squares keep zeros where entries are kept, so each sum adds the same
+    # slots in the same order at every ratio, and a nested keep set can
+    # only lower them.  An overflowing transform leaves inf and nan
+    # residuals for _percent to report as the energy overflow they are,
+    # with no numpy warning first.
+    _, kept, masks, flat, lengths, base = _forward_keep(signals, config, crs)
+    odd = next((j for j, n in enumerate(lengths) if n % 2), len(lengths))
+    # The finest J bands are the tail of each flat row.
+    coarse = flat.shape[-1] - sum(n // 2 for n in lengths[:odd])
+    masked = np.multiply(masks[..., :coarse], flat[:, None, :coarse])
+    diff = base.reshape(len(signals), 1, -1) - _inverse_rows(masked, lengths[odd:], config.filters)
+    diff *= diff
+    dropped = np.where(masks[..., coarse:], 0.0, np.square(flat[:, None, coarse:]))
+    return flat.shape[-1], kept, np.add.reduce(diff, axis=-1) + np.add.reduce(dropped, axis=-1)
+
+
+def _forward_keep(signals, config: CompressionConfig, crs) -> tuple:
+    # The one forward-and-keep kernel, shared by compress and the PRD
+    # table: every signal of ``signals`` (one block of a recording's
     # channels: one length, one sample period) at every ratio in ``crs``
-    # (``config.cr`` is not used): one depth search and forward pass for the
-    # block, and one stacked inverse pass for all its masked rows.  Returns
-    # the depth, the kept count per ratio, the keep masks (signals, ratios,
-    # total) and the rebuilt rows (signals, ratios, n).  The masked rows and
-    # synthesis temporaries come from the workspace ``work`` (see
-    # wavelets._scratch), so with one the rows are a view of it.
+    # (``config.cr`` is not used), with one depth search and one forward
+    # pass for the block.  Returns the depth, the kept count per ratio,
+    # the keep masks (signals, ratios, total), the coefficient rows
+    # (signals, total), the input length of each level and the input of
+    # the first odd-length level (see wavelets._forward_rows).  Callers
+    # silence numpy's overflow warnings: an overflow is left for the PRD
+    # to report.
     levels = config.resolve_levels(signals[0].sample_period_s, len(signals[0]))
     # A lone signal stays 1-D: numpy's per-call cost is higher on a (1, n)
     # block, and the plane scan compresses one signal at a time.
-    if len(signals) == 1:
-        block = signals[0].samples
-    else:
-        block = np.stack([s.samples for s in signals])
-    flat, lengths = _forward_rows(block, config.filters, levels)
+    block = signals[0].samples if len(signals) == 1 else np.stack([s.samples for s in signals])
+    flat, lengths, base = _forward_rows(block, config.filters, levels)
     flat = flat.reshape(len(signals), -1)
-    total = flat.shape[-1]
-    kept = [max(1, int(total // cr)) for cr in crs]
+    kept = [max(1, int(flat.shape[-1] // cr)) for cr in crs]
     masks = np.array([[_keep_mask(row, keep) for keep in kept] for row in flat])
-    # A dropped negative coefficient comes out as -0.0 here, not +0.0, but
-    # every synthesis sum starts from +0.0, so the rows rebuild bit for bit
-    # as from np.where(masks, flat, 0.0).
-    masked = np.multiply(masks, flat[:, None], out=_scratch(work, "masked", masks.shape))
-    # The masks (a byte per coefficient) stay for compress's kept_indices;
-    # freeing them before the inverse pass gave no lower sweep peak.
-    del flat  # not needed again; freed before the inverse pass's buffers grow
-    rows = _inverse_rows(masked.reshape(-1, total), lengths, config.filters, work)
-    return levels, kept, masks, rows.reshape(masks.shape[:2] + (-1,))
+    return levels, kept, masks, flat, lengths, base
+

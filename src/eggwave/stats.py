@@ -465,13 +465,13 @@ def detection_rate(rows) -> float:
 
 def _prd_table(cohort: Cohort, states, config: CompressionConfig, crs) -> dict:
     # {(cr, state): {channel: PRD array over sorted subjects}} for distinct
-    # ``states`` and ``crs``.  Each signal is transformed once,
-    # in a block of its recording's channels, and every block of the pass
-    # is rebuilt in one shared workspace (see compression._prd_scores).
+    # ``states`` and ``crs``.  Each signal is transformed once, in a block
+    # of its recording's channels, and scored at every ratio from the
+    # coefficients each drops (see compression._prd_scores).
     table = {
         (cr, state): {ch: [] for ch in cohort.channel_ids} for cr in crs for state in states
     }
-    scores = functools.partial(_prd_scores, config=config, crs=crs, work={})
+    scores = functools.partial(_prd_scores, config=config, crs=crs)
     for _, state, ch, (_, _, values) in cohort.apply(scores, states):
         for cr, value in zip(crs, values):
             table[(cr, state)][ch].append(value)

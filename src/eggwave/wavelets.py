@@ -259,8 +259,7 @@ def pollen_filter(a: float, b: float) -> FilterPair:
         number in ``[-pi, pi]``, not a bool or a string.  A bad one is
         reported as, e.g., ``plane angle a must be in [-pi, pi], got 9.0``.
     """
-    a = _real(a, "plane angle a", "in [-pi, pi]")
-    b = _real(b, "plane angle b", "in [-pi, pi]")
+    a, b = _plane_point((a, b))
     ca, sa = math.cos(a), math.sin(a)
     cb, sb = math.cos(b), math.sin(b)
     cab, sab = math.cos(a - b), math.sin(a - b)
@@ -284,11 +283,18 @@ def resolve_wavelet(spec) -> FilterPair:
         return spec
     if isinstance(spec, str):
         return named_wavelet(spec)
+    return pollen_filter(*_plane_point(spec))
+
+
+def _plane_point(spec) -> tuple:
+    # The one reading of a plane point ``(a, b)``: each angle checked and
+    # returned as a plain float, so a config that stores the pair hashes
+    # and equals one built from the same angles in another type.
     try:
         a, b = spec
     except (TypeError, ValueError):
         raise ValueError(f"cannot interpret wavelet spec {spec!r}") from None
-    return pollen_filter(a, b)
+    return _real(a, "plane angle a", "in [-pi, pi]"), _real(b, "plane angle b", "in [-pi, pi]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,24 +381,7 @@ def _analysis_step(v: np.ndarray, h: np.ndarray, g: np.ndarray):
     return approx, detail
 
 
-def _scratch(work, role: str, shape: tuple) -> np.ndarray:
-    # A float buffer with stale contents; the caller overwrites every
-    # element.  With a workspace dict ``work`` one flat buffer is kept per
-    # role, grown to the largest request, and each request gets a
-    # contiguous view of its leading elements, valid until the next
-    # request for that role.  So a pass over many signals holds one set of
-    # buffers sized for its finest level, not one set per level.  With
-    # ``work=None`` it is a plain temporary.
-    if work is None:
-        return np.empty(shape)
-    size = math.prod(shape)
-    buf = work.get(role)
-    if buf is None or buf.size < size:
-        buf = work[role] = np.empty(size)
-    return buf[:size].reshape(shape)
-
-
-def _synthesis_step(approx, detail, h, g, out_len, work):
+def _synthesis_step(approx, detail, h, g, out_len):
     # Polyphase form: output sample 2i + p sums the taps m = p, p + 2, ...
     # against band index (i - m // 2) mod half, so each tap adds a slice
     # of the left-extended bands to one phase row.  Taps must run in
@@ -400,24 +389,17 @@ def _synthesis_step(approx, detail, h, g, out_len, work):
     # out[(2k + m) mod n] += h[m] a[k] + g[m] d[k] bit for bit.  Leading
     # axes are batch axes: every row gets exactly the sums it gets alone.
     # Phase-major rows and reused products keep a stack of rows in cache.
-    # The extended bands, phase rows, products and output come from
-    # ``_scratch(work, ...)``; with a workspace the returned view holds
-    # until the next step.
     half = approx.shape[-1]
     lag = h.size // 2 - 1
-    ext_shape = approx.shape[:-1] + (half + lag,)
-    # mode="wrap" reads index -j as half - j (several turns when the band is
-    # shorter than the lag) and, unlike the default mode, writes straight
-    # into ``out`` without a temporary.
+    # mode="wrap" reads index -j as half - j, several turns when the band
+    # is shorter than the lag.
     wrap = np.arange(-lag, half)
-    a_ext = approx.take(wrap, axis=-1, mode="wrap", out=_scratch(work, "a_ext", ext_shape))
-    d_ext = detail.take(wrap, axis=-1, mode="wrap", out=_scratch(work, "d_ext", ext_shape))
-    phases = _scratch(work, "phases", (2,) + approx.shape)
-    phases.fill(0.0)
+    a_ext = approx.take(wrap, axis=-1, mode="wrap")
+    d_ext = detail.take(wrap, axis=-1, mode="wrap")
+    phases = np.zeros((2,) + approx.shape)
     # The two products share one buffer with the output, which is written
-    # only after the last product is summed.  The next step reads its input
-    # (this output) into its extended band before it forms any product.
-    terms = _scratch(work, "terms", (2,) + approx.shape)
+    # only after the last product is summed.
+    terms = np.empty((2,) + approx.shape)
     term, g_term = terms
     for m in range(h.size):
         s = lag - m // 2
@@ -452,7 +434,7 @@ def dwt_forward(x, filters: FilterPair, levels: int) -> DwtCoefficients:
         (even a whole one) or a bool is rejected.
     """
     signal = x if isinstance(x, Signal) else Signal(x)
-    flat, lengths = _forward_rows(signal.samples, filters, _whole(levels, "decomposition depth"))
+    flat, lengths, _ = _forward_rows(signal.samples, filters, _whole(levels, "decomposition depth"))
     return DwtCoefficients(
         flat=flat, input_lengths=lengths, sample_period_s=signal.sample_period_s
     )
@@ -461,19 +443,23 @@ def dwt_forward(x, filters: FilterPair, levels: int) -> DwtCoefficients:
 def _forward_rows(block: np.ndarray, filters: FilterPair, levels: int) -> tuple:
     # Decompose every row of ``block`` (shape (..., n)) in one pass of the
     # pyramid; returns the rows laid out as DwtCoefficients.flat, shape
-    # (..., total), and the input length of each level.  Each row comes
-    # out bit for bit as alone.
+    # (..., total), the input length of each level, and the input of the
+    # first odd-length level (the coarsest approximation when no level is
+    # odd).  Every level before that one is an orthonormal map, which is
+    # what compression._residual_energies scores from.  Each row comes out
+    # bit for bit as alone.
     n = block.shape[-1]
     if 2 ** levels > n:
         raise ValueError(f"depth {levels} too deep for a {n}-sample signal")
-    details = []
-    lengths = []
-    v = block
+    details, lengths = [], []
+    v = base = block
     for _ in range(levels):
         lengths.append(v.shape[-1])
         v, d = _analysis_step(v, filters.h, filters.g)
         details.append(d)
-    return np.concatenate([v] + details[::-1], axis=-1), tuple(lengths)
+        if base.shape[-1] % 2 == 0:  # every level so far was even
+            base = v
+    return np.concatenate([v] + details[::-1], axis=-1), tuple(lengths), base
 
 
 def dwt_inverse(coeffs: DwtCoefficients, filters: FilterPair) -> Signal:
@@ -482,21 +468,21 @@ def dwt_inverse(coeffs: DwtCoefficients, filters: FilterPair) -> Signal:
     With untouched coefficients the reconstruction matches the original
     signal sample for sample (perfect reconstruction).
     """
-    v = _inverse_rows(coeffs.flat, coeffs.input_lengths, filters, None)
+    v = _inverse_rows(coeffs.flat, coeffs.input_lengths, filters)
     return Signal(v, sample_period_s=coeffs.sample_period_s)
 
 
-def _inverse_rows(rows: np.ndarray, input_lengths: tuple, filters: FilterPair, work) -> np.ndarray:
+def _inverse_rows(rows: np.ndarray, input_lengths: tuple, filters: FilterPair) -> np.ndarray:
     # Rebuild every row of ``rows`` (shape (..., total), each laid out as
     # DwtCoefficients.flat for these ``input_lengths``) in one pass of the
-    # pyramid; each row comes out bit for bit as alone.  With a workspace
-    # ``work`` the result is a view of one of its buffers.
-    pos = (input_lengths[-1] + 1) // 2
+    # pyramid; each row comes out bit for bit as alone.  With no lengths
+    # the rows are their own approximation and come back as they are.
+    pos = rows.shape[-1] - sum((n + 1) // 2 for n in input_lengths)
     v = rows[..., :pos]
     for n_true in input_lengths[::-1]:
         detail = rows[..., pos : pos + (n_true + 1) // 2]
         pos += (n_true + 1) // 2
-        v = _synthesis_step(v, detail, filters.h, filters.g, n_true, work)
+        v = _synthesis_step(v, detail, filters.h, filters.g, n_true)
     return v
 
 

@@ -56,6 +56,14 @@ def test_compression_has_one_block_walk():
         assert not hasattr(cli, name)
 
 
+def test_no_synthesis_workspace():
+    # A PRD table rebuilds at most the levels from the first odd one, so no
+    # pass keeps synthesis buffers between signals.
+    assert not hasattr(wavelets, "_scratch")
+    for function in (compression._prd_scores, wavelets._inverse_rows, wavelets._synthesis_step):
+        assert "work" not in inspect.signature(function).parameters
+
+
 def test_each_rule_is_stated_once():
     # prd coerces its inputs as compress does; a state's generator count is
     # the length of its GENERATOR_SPLIT and its index is STATES.index.

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from eggwave import compression
 from eggwave.compression import (
     DEFAULT_TARGET_FREQUENCY_HZ,
     CompressionConfig,
-    _compress_block,
+    _forward_keep,
     _keep_mask,
     _prd_scores,
     compress,
@@ -21,12 +23,35 @@ from eggwave.compression import (
 from eggwave.wavelets import (
     DwtCoefficients,
     Signal,
+    _inverse_rows,
     dwt_forward,
     dwt_inverse,
     named_wavelet,
     resolve_wavelet,
     select_scales,
 )
+
+
+#: The README's bound on a PRD table's distance from the direct form,
+#: prd() of the full reconstruction: 1e-12 of the direct PRD plus 1e-12
+#: percentage points, the floor for PRDs near 0 (at CR 1 the table reads
+#: 0 where the direct form reads the reconstruction's rounding, ~1e-14).
+#: Where the signal length is odd the two agree bit for bit.
+TABLE_RTOL = TABLE_ATOL = 1e-12
+
+
+def assert_table_prd(value, direct, n):
+    """A table PRD against the direct form for an ``n``-sample signal."""
+    if n % 2:
+        assert value == direct
+    else:
+        assert abs(value - direct) <= TABLE_RTOL * direct + TABLE_ATOL
+
+
+def compress_block(signals, config, crs):
+    """Depth, kept counts, keep masks and every rebuilt (signal, ratio) row."""
+    levels, kept, masks, flat, lengths, _ = _forward_keep(signals, config, crs)
+    return levels, kept, masks, _inverse_rows(np.multiply(masks, flat[:, None]), lengths, config.filters)
 
 
 def coeffs_from_flat(flat, input_lengths):
@@ -175,6 +200,30 @@ class TestCompressionConfig:
         config = CompressionConfig(wavelet=(1.0, -0.5))
         assert np.array_equal(config.filters.h, resolve_wavelet((1.0, -0.5)).h)
         assert replace(config, wavelet="haar").filters.length == 2
+
+    @pytest.mark.parametrize("point", [
+        [0.5, 0.1], (np.float64(0.5), 0.1), np.array([0.5, 0.1]), iter([0.5, 0.1]),
+    ], ids=["list", "numpy-float", "array", "iterator"])
+    def test_plane_point_stored_as_plain_floats(self, point):
+        # Any pair of angles is stored as the tuple of plain floats it
+        # names, so the config hashes, compares and reprs as that tuple.
+        config = CompressionConfig(wavelet=point, cr=3.0, levels=4)
+        plain = CompressionConfig(wavelet=(0.5, 0.1), cr=3.0, levels=4)
+        assert config.wavelet == (0.5, 0.1)
+        assert [type(angle) for angle in config.wavelet] == [float, float]
+        assert config == plain and hash(config) == hash(plain)
+        assert repr(config) == repr(plain)
+        assert "wavelet=(0.5, 0.1)," in repr(config)
+        assert config.filters.h.tobytes() == plain.filters.h.tobytes()
+
+    def test_integer_angles_become_floats(self):
+        config = CompressionConfig(wavelet=(np.int64(-3), 2))
+        assert config.wavelet == (-3.0, 2.0)
+        assert [type(angle) for angle in config.wavelet] == [float, float]
+
+    @pytest.mark.parametrize("wavelet", ["haar", named_wavelet("haar")], ids=["name", "pair"])
+    def test_name_and_filter_pair_stored_as_given(self, wavelet):
+        assert CompressionConfig(wavelet=wavelet).wavelet is wavelet
 
     def test_equal_settings_compare_and_hash_equal(self):
         a = CompressionConfig(wavelet=(1.0, -0.5), cr=3.0, levels=6)
@@ -337,40 +386,20 @@ class TestSharedKeepKernel:
             previous = result.kept_indices
 
 
-@st.composite
-def workspace_calls(draw):
-    """Signals, settings and ratios for a run of calls sharing one workspace."""
-    calls = []
-    for _ in range(draw(st.integers(2, 4))):
-        levels = draw(st.integers(1, 7))
-        n = draw(st.integers(2**levels, 2**levels + 300))
-        x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
-        if draw(st.booleans()):
-            x = np.round(2.0 * x)  # tie-heavy: few distinct magnitudes
-            assume(float(np.dot(x, x)) > 0.0)
-        crs = draw(st.lists(st.one_of(st.sampled_from([1.0, 2.0, 3.0, 1e9]), st.floats(1.0, 50.0)),
-                            min_size=1, max_size=6))
-        config = CompressionConfig(wavelet=draw(wavelet_specs), levels=levels)
-        calls.append((Signal(x), config, crs))
-    # The first shape comes back after the workspace has served the others.
-    assume(calls[0][0].samples.size != calls[1][0].samples.size or len(calls[0][2]) != len(calls[1][2]))
-    return calls + calls[:1]
-
-
 class TestCompressRatios:
     """One transform and one stacked inverse must give compress at each ratio."""
 
     @staticmethod
     def assert_matches_compress(x, config, crs):
         signal = Signal(x)
-        levels, kept, masks, rows = _compress_block((signal,), config, crs, {})
-        [(total, scored_kept, prds)] = _prd_scores((signal,), config, crs, {})
+        levels, kept, masks, rows = compress_block((signal,), config, crs)
+        [(total, scored_kept, prds)] = _prd_scores((signal,), config, crs)
         assert len(kept) == len(prds) == len(crs)
         assert scored_kept == kept
         filters = resolve_wavelet(config.wavelet)
         for cr, keep, mask, row, value in zip(crs, kept, masks[0], rows[0], prds):
             want = compress(signal, replace(config, cr=cr))
-            assert value == want.prd_percent
+            assert_table_prd(value, want.prd_percent, len(signal))
             assert keep == want.kept
             assert total == mask.size == want.total_coefficients
             assert levels == want.levels
@@ -383,7 +412,8 @@ class TestCompressRatios:
             alone = dwt_inverse(keep_largest(coeffs, keep), filters)
             # Byte equality also tells +0.0 from -0.0.
             assert row.tobytes() == alone.samples.tobytes()
-            assert value == prd(signal, alone)
+            assert want.prd_percent == prd(signal, alone)
+            assert_table_prd(value, prd(signal, alone), len(signal))
 
     @pytest.mark.parametrize("n", [128, 129, 6000, 6001, 1000])
     @pytest.mark.parametrize("levels", ["auto", 3, 7])
@@ -394,7 +424,7 @@ class TestCompressRatios:
         crs = [5.0, 2.0, 5.0, 1.0, 1e9, 3.5, 2.0]
         config = CompressionConfig(wavelet="daubechies-3", levels=levels)
         self.assert_matches_compress(x, config, crs)
-        [(total, kept, _)] = _prd_scores((Signal(x),), config, crs, {})
+        [(total, kept, _)] = _prd_scores((Signal(x),), config, crs)
         assert kept[3] == total
         assert kept[4] == 1
 
@@ -414,22 +444,6 @@ class TestCompressRatios:
             assume(float(np.dot(x, x)) > 0.0)
         config = CompressionConfig(wavelet=wavelet, levels=levels)
         self.assert_matches_compress(x, config, crs)
-
-    @settings(max_examples=60, deadline=None)
-    @given(calls=workspace_calls())
-    def test_shared_workspace_equals_a_fresh_one(self, calls):
-        work = {}
-        for signal, config, crs in calls:
-            levels, kept, masks, rows = _compress_block((signal,), config, crs, work)
-            fresh = _compress_block((signal,), config, crs, {})
-            assert (levels, kept) == fresh[:2]
-            assert masks.tobytes() == fresh[2].tobytes()
-            assert rows.tobytes() == fresh[3].tobytes()
-            # With a workspace the rows are a view of it.
-            assert any(np.shares_memory(rows, buf) for buf in work.values())
-            assert list(_prd_scores((signal,), config, crs, work)) == list(
-                _prd_scores((signal,), config, crs, {})
-            )
 
 
 @st.composite
@@ -461,14 +475,14 @@ class TestCompressBlock:
             # No depth fits one sample; the block fails as a lone signal does.
             message = r"^depth 1 too deep for a 1-sample signal$"
             with pytest.raises(ValueError, match=message):
-                _compress_block(signals, config, crs, {})
+                _forward_keep(signals, config, crs)
             with pytest.raises(ValueError, match=message):
-                next(_prd_scores(signals, config, crs, {}))
+                next(_prd_scores(signals, config, crs))
             with pytest.raises(ValueError, match=message):
                 compress(signals[0], config)
             return
         filters = resolve_wavelet(wavelet)
-        depth, kept, masks, rows = _compress_block(signals, config, crs, {})
+        depth, kept, masks, rows = compress_block(signals, config, crs)
         assert masks.shape[:2] == rows.shape[:2] == (len(signals), len(crs))
         for signal, signal_masks, signal_rows in zip(signals, masks, rows):
             coeffs = dwt_forward(signal, filters, depth)
@@ -476,15 +490,14 @@ class TestCompressBlock:
                 alone = dwt_inverse(keep_largest(coeffs, keep), filters)
                 assert row.tobytes() == alone.samples.tobytes()
                 assert np.array_equal(mask, _keep_mask(coeffs.flat, keep))
-        # The generator runs the signals through blocks of _BLOCK_ROWS rows
-        # in one shared workspace.
-        scores = list(_prd_scores(signals, config, crs, {}))
+        # The generator runs the signals through blocks of _BLOCK_ROWS rows.
+        scores = list(_prd_scores(signals, config, crs))
         assert len(scores) == len(signals)
         for signal, (total, scored_kept, prds) in zip(signals, scores):
             assert len(scored_kept) == len(prds) == len(crs)
             for cr, keep, value in zip(crs, scored_kept, prds):
                 want = compress(signal, replace(config, cr=cr))
-                assert value == want.prd_percent
+                assert_table_prd(value, want.prd_percent, len(signal))
                 assert (keep, total) == (want.kept, want.total_coefficients)
 
 
@@ -525,3 +538,78 @@ class TestPrdMonotoneInKept:
         x = np.random.default_rng(531615).standard_normal(9)
         prds = prd_by_kept(x, named_wavelet("coiflet-1"), 1)
         assert prds[3] > prds[2] + 0.5
+
+
+@st.composite
+def table_cases(draw):
+    # Odd, dyadic and mixed lengths (a multiple of 2**j for some j below
+    # the depth) at depths 1-8, so J takes every value from 0 to the depth.
+    levels = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["odd", "dyadic", "mixed"]))
+    if kind == "dyadic":
+        n = draw(st.integers(1, 4)) * 2**levels
+    else:
+        n = draw(st.integers(2**levels, 2**levels + 200))
+        n = n | 1 if kind == "odd" else n
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    if draw(st.booleans()):
+        x = np.round(2.0 * x)  # tie-heavy: few distinct magnitudes
+        assume(float(np.dot(x, x)) > 0.0)
+    x *= 10.0 ** draw(st.integers(-6, 6))
+    crs = draw(st.lists(st.floats(1.0, 50.0), max_size=3)) + [1.0, 1e9]
+    return Signal(x), levels, crs
+
+
+class TestTableFromDroppedCoefficients:
+    """A table's PRD is read from the dropped coefficients."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=table_cases(), wavelet=wavelet_specs)
+    def test_within_the_bound_of_the_full_reconstruction(self, case, wavelet):
+        signal, levels, crs = case
+        config = CompressionConfig(wavelet=wavelet, levels=levels)
+        [(total, kept, prds)] = _prd_scores((signal,), config, crs)
+        coeffs = dwt_forward(signal, config.filters, levels)
+        assert total == coeffs.total_count
+        for keep, value in zip(kept, prds):
+            full = dwt_inverse(keep_largest(coeffs, keep), config.filters)
+            assert_table_prd(value, prd(signal, full), len(signal))
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=dyadic_signals(), wavelet=wavelet_specs)
+    def test_exactly_nonincreasing_in_kept_on_dyadic_lengths(self, case, wavelet):
+        # Every level is even, so the score sums only the squares of the
+        # dropped coefficients, with zeros at the kept ones: a nested keep
+        # set can only lower each term, and rounding preserves the order.
+        x, levels = case
+        config = CompressionConfig(wavelet=wavelet, levels=levels)
+        total = dwt_forward(x, config.filters, levels).total_count
+        # total / (m + 0.5) keeps exactly m; CR 1 keeps all of them.
+        crs = [total / (m + 0.5) for m in range(1, total)] + [1.0]
+        [(_, kept, prds)] = _prd_scores((Signal(x),), config, crs)
+        assert kept == list(range(1, total + 1))
+        assert np.all(np.diff(prds) <= 0.0)
+        assert prds[-1] == 0.0
+
+    @pytest.mark.parametrize("n, levels, rebuilt", [
+        (6000, 7, (375, 188, 94)),  # the sweep: J = 4
+        (6000, 6, (375, 188)),      # the scan's depth: J = 4
+        (6001, 3, (6001, 3001, 1501)),  # odd: J = 0, the full inverse
+        (4096, 7, ()),              # dyadic: J = depth, no inverse step
+    ])
+    def test_inverse_rebuilds_only_from_the_first_odd_level(self, n, levels, rebuilt):
+        signal = Signal(np.random.default_rng(n).standard_normal(n))
+        original, calls = compression._inverse_rows, []
+
+        def inverse(rows, lengths, filters):
+            out = original(rows, lengths, filters)
+            calls.append((lengths, out.shape))
+            return out
+
+        with mock.patch.object(compression, "_inverse_rows", inverse):
+            list(_prd_scores((signal,), CompressionConfig(levels=levels), [3.0, 5.0]))
+        [(lengths, shape)] = calls
+        assert lengths == rebuilt
+        # The rebuilt rows are a_J: the level-J input, or the approximation.
+        approx = -(-n // 2**levels)
+        assert shape == (1, 2, rebuilt[0] if rebuilt else approx)

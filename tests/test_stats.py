@@ -782,6 +782,8 @@ def state_prds_direct(cohort, state, wavelet, cr, levels):
 
 
 class TestPrdTableEqualsDirectForm:
+    """A table scores from the dropped coefficients, within the README's bound."""
+
     CASES = [("daubechies-3", "auto"), ((0.7, -1.9), 5)]
 
     @pytest.mark.parametrize("wavelet,levels", CASES)
@@ -790,14 +792,23 @@ class TestPrdTableEqualsDirectForm:
         expected = state_prds_direct(small_cohort, "mild", wavelet, 4.0, levels)
         assert list(prds) == list(expected)
         for ch in expected:
-            assert np.array_equal(prds[ch], expected[ch])
+            np.testing.assert_allclose(prds[ch], expected[ch], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("wavelet,levels", CASES)
     def test_compare_states(self, small_cohort, wavelet, levels):
         a = state_prds_direct(small_cohort, "basal", wavelet, 3.0, levels)
         b = state_prds_direct(small_cohort, "severe", wavelet, 3.0, levels)
         expected = [compare_paired(a[ch], b[ch], ch) for ch in sorted(a)]
-        assert compare_states(small_cohort, "basal", "severe", wavelet, 3.0, levels) == expected
+        got = compare_states(small_cohort, "basal", "severe", wavelet, 3.0, levels)
+        assert len(got) == len(expected)
+        for row, want in zip(got, expected):
+            assert (row.channel, row.test_name, row.significant) == (
+                want.channel, want.test_name, want.significant
+            )
+            # PRDs within 1e-12 move a difference of PRDs, its spread and
+            # its p-value only in their last digits.
+            for name in ("delta_mean", "delta_sd", "p_value"):
+                assert getattr(row, name) == pytest.approx(getattr(want, name), rel=1e-9, abs=1e-12)
 
 
 class TestBatteryInputsCheckedFirst:
@@ -817,8 +828,8 @@ class TestBatteryInputsCheckedFirst:
         (lambda c: cr_sweep(c, []), "sweep needs at least one compression ratio"),
     ], ids=["itself", "unknown-second", "unknown-first", "no-ratios"])
     def test_compresses_nothing(self, cohort, call, message):
-        block = compression._compress_block
-        with mock.patch.object(compression, "_compress_block", wraps=block) as spy:
+        kernel = compression._forward_keep
+        with mock.patch.object(compression, "_forward_keep", wraps=kernel) as spy:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call(cohort)
         assert spy.call_count == 0
@@ -830,8 +841,8 @@ class TestBatteryInputsCheckedFirst:
     def test_missing_recording_names_its_pair(self, cohort, call):
         partial = Cohort({k: v for k, v in cohort.recordings.items() if k != ("dog03", "mild")})
         message = "state pair basal:mild: cohort has no recording for (dog03, mild)"
-        block = compression._compress_block
-        with mock.patch.object(compression, "_compress_block", wraps=block) as spy:
+        kernel = compression._forward_keep
+        with mock.patch.object(compression, "_forward_keep", wraps=kernel) as spy:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call(partial)
         assert spy.call_count == 0

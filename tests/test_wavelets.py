@@ -381,10 +381,10 @@ class TestKernelOracle:
         rng = np.random.default_rng(seed)
         approx, detail = rng.standard_normal((2, k, half))
         out_len = 2 * half - odd
-        stacked = _synthesis_step(approx, detail, f.h, f.g, out_len, {})
+        stacked = _synthesis_step(approx, detail, f.h, f.g, out_len)
         assert stacked.shape == (k, out_len)
         for i in range(k):
-            alone = _synthesis_step(approx[i], detail[i], f.h, f.g, out_len, {})
+            alone = _synthesis_step(approx[i], detail[i], f.h, f.g, out_len)
             assert np.array_equal(stacked[i], alone)
             assert np.array_equal(alone, reference_synthesis_step(approx[i], detail[i], f.h, f.g, out_len))
 
@@ -403,7 +403,7 @@ class TestKernelOracle:
         coeffs = dwt_forward(rng.standard_normal(n), f, levels)
         keep = rng.random((k, coeffs.total_count)) < rng.random((k, 1))
         rows = np.where(keep, coeffs.flat, 0.0)
-        stacked = _inverse_rows(rows, coeffs.input_lengths, f, {})
+        stacked = _inverse_rows(rows, coeffs.input_lengths, f)
         assert stacked.shape == (k, n)
         for i in range(k):
             row = replace(coeffs, flat=rows[i])
@@ -430,12 +430,28 @@ class TestForwardRows:
     def test_every_row_equals_dwt_forward_alone(self, case, wavelet):
         block, levels = case
         f = resolve_wavelet(wavelet)
-        flat, lengths = _forward_rows(block, f, levels)
+        flat, lengths, _ = _forward_rows(block, f, levels)
         assert flat.shape[0] == block.shape[0]
         for row, got in zip(block, flat):
             alone = dwt_forward(row, f, levels)
             assert got.tobytes() == alone.flat.tobytes()
             assert lengths == alone.input_lengths
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=row_blocks(), wavelet=wavelet_specs)
+    def test_returns_the_input_of_the_first_odd_level(self, case, wavelet):
+        # The levels before it are orthonormal maps; with none odd it is
+        # the coarsest approximation.
+        block, levels = case
+        f = resolve_wavelet(wavelet)
+        _, lengths, base = _forward_rows(block, f, levels)
+        odd = next((j for j, n in enumerate(lengths) if n % 2), levels)
+        assert base.shape[0] == block.shape[0]
+        for row, got in zip(block, base):
+            v = row
+            for _ in range(odd):
+                v, _ = reference_analysis_step(v, f.h, f.g)
+            assert got.tobytes() == v.tobytes()
 
     def test_too_deep_names_the_length(self):
         with pytest.raises(ValueError, match=r"^depth 3 too deep for a 7-sample signal$"):
