@@ -1,9 +1,10 @@
 """Keep-M hard-threshold wavelet compression and its distortion score.
 
 The compression ratio fixes how many transform coefficients survive
-(``M = floor(total / ratio)``); everything else is zeroed and the signal
-is rebuilt from the survivors.  Distortion is scored as the percent
-root-mean-square difference (PRD) against the original samples.
+(``M = floor(total / ratio)``); everything else is zeroed.  Distortion is
+scored as the percent root-mean-square difference (PRD) between the
+original samples and the signal rebuilt from the survivors, read from the
+coefficients keep-M drops.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class CompressionConfig:
     ``DEFAULT_TARGET_FREQUENCY_HZ``.
     ``filters`` holds the resolved ``wavelet``, so a bad name or a bad
     plane point fails here, not on the first signal.  A plane point's two
-    angles are checked as by :func:`pollen_filter`: each an ``int``,
+    angles are checked by :func:`pollen_filter`, once: each an ``int``,
     ``float`` or numpy number in ``[-pi, pi]``, not a bool or a string.
     The point is stored as a tuple of plain floats, so a config hashes.
     """
@@ -66,9 +67,12 @@ class CompressionConfig:
         object.__setattr__(self, "cr", _real(self.cr, "compression ratio", "at least 1 and finite"))
         if self.levels != "auto":
             object.__setattr__(self, "levels", _whole(self.levels, "levels"))
-        if not isinstance(self.wavelet, (str, FilterPair)):
-            object.__setattr__(self, "wavelet", _plane_point(self.wavelet))
-        object.__setattr__(self, "filters", resolve_wavelet(self.wavelet))
+        plane = not isinstance(self.wavelet, (str, FilterPair))
+        point = _plane_point(self.wavelet) if plane else self.wavelet
+        object.__setattr__(self, "filters", resolve_wavelet(point))
+        if plane:
+            # pollen_filter checked each angle, so float() is _real's value.
+            object.__setattr__(self, "wavelet", tuple(map(float, point)))
 
     def resolve_levels(self, sample_period_s: float, n_samples: int) -> int:
         if self.levels == "auto":
@@ -82,9 +86,12 @@ class CompressionConfig:
 
 @dataclass(frozen=True)
 class CompressionResult:
-    """Outcome of one compression run."""
+    """Outcome of one compression run: its score and its keep set.
 
-    reconstruction: Signal
+    It holds no rebuilt signal.  ``dwt_inverse(keep_largest(dwt_forward(x,
+    config.filters, r.levels), r.kept), config.filters)`` rebuilds one.
+    """
+
     kept: int
     total_coefficients: int
     prd_percent: float
@@ -135,14 +142,9 @@ def prd(x, reconstruction) -> float:
     ref, rec = (s if isinstance(s, Signal) else Signal(s) for s in (x, reconstruction))
     if len(ref) != len(rec):
         raise ValueError(f"length mismatch: {len(ref)} vs {len(rec)}")
-    return _prd(ref.samples, rec.samples)
-
-
-def _prd(ref: np.ndarray, rec: np.ndarray) -> float:
-    # prd of a sample vector against one equal-length row, by the direct
-    # form: the residual energy is summed from the rebuilt samples.
+    # The direct form: the residual energy is summed from the rebuilt samples.
     with np.errstate(over="ignore"):
-        diff = ref - rec
+        ref, diff = ref.samples, ref.samples - rec.samples
         return _percent(ref, np.add.reduce(np.multiply(diff, diff, out=diff), keepdims=True))[0]
 
 
@@ -173,27 +175,21 @@ def compress(x, config: CompressionConfig = CompressionConfig()) -> CompressionR
     """Compress a signal by keep-M thresholding in the wavelet domain.
 
     Runs the forward transform, keeps the ``floor(total / cr)`` largest
-    coefficients (at least one), reconstructs, and scores the PRD against
-    the original samples by the direct form: ``prd(x, reconstruction)``,
-    bit for bit (a PRD table agrees within the README's bound).
-    Deterministic for identical inputs.  PRD is non-increasing in the kept
-    count only when ``len(x)`` is a multiple of ``2**levels``; see
-    :func:`keep_largest`.
+    coefficients (at least one) and scores the PRD of the signal they
+    rebuild from the coefficients they drop, by the rule of a PRD table:
+    ``prd_percent`` is, bit for bit, the table's value for the same signal,
+    settings and ratio, and lies within the README's bound of the direct
+    form ``prd(x, rebuilt)``.  No signal is rebuilt; see
+    :class:`CompressionResult` for how to get one.  Deterministic for
+    identical inputs.  PRD is non-increasing in the kept count only when
+    ``len(x)`` is a multiple of ``2**levels``; see :func:`keep_largest`.
     """
     signal = x if isinstance(x, Signal) else Signal(x)
-    # A dropped negative coefficient is masked to -0.0, not +0.0, but every
-    # synthesis sum starts from +0.0, so the row rebuilds bit for bit as
-    # from keep_largest's np.where.
-    with np.errstate(over="ignore", invalid="ignore"):
-        levels, [kept], [[mask]], [flat], lengths, _ = _forward_keep((signal,), config, [config.cr])
-        row = _inverse_rows(np.multiply(mask, flat), lengths, config.filters)
-    # Scored first, so an overflowed row reads as the energy error it is.
-    prd_percent = _prd(signal.samples, row)
+    levels, [kept], [[mask]], [residual] = _residual_energies((signal,), config, [config.cr])
     return CompressionResult(
-        reconstruction=Signal(row, sample_period_s=signal.sample_period_s),
         kept=kept,
         total_coefficients=mask.size,
-        prd_percent=prd_percent,
+        prd_percent=_percent(signal.samples, residual)[0],
         kept_indices=np.flatnonzero(mask),
         levels=levels,
         cr=config.cr,
@@ -209,20 +205,21 @@ def _prd_scores(signals, config: CompressionConfig, crs):
     step = max(1, _BLOCK_ROWS // len(crs))
     for start in range(0, len(signals), step):
         block = signals[start : start + step]
-        total, kept, residuals = _residual_energies(block, config, crs)
+        _, kept, masks, residuals = _residual_energies(block, config, crs)
         for signal, residual in zip(block, residuals):
-            yield total, kept, _percent(signal.samples, residual)
+            yield masks.shape[-1], kept, _percent(signal.samples, residual)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _residual_energies(signals, config: CompressionConfig, crs) -> tuple:
-    # The total coefficient count, the kept count per ratio and the
-    # residual energy ||x - rec||^2 of each (signal, ratio), shape
-    # (signals, ratios), read from the coefficients keep-M drops rather
-    # than from rebuilt signals.  Let J be the first level whose input
-    # length is odd (the depth when none is).  Each level before J is an
-    # orthonormal map, so its share of the residual is the energy of its
-    # dropped details:
+    # The depth, the kept count per ratio, the keep masks (signals, ratios,
+    # total) and the residual energy ||x - rec||^2 of each (signal, ratio),
+    # shape (signals, ratios), read from the coefficients keep-M drops
+    # rather than from rebuilt signals: the one PRD rule of compress and
+    # the PRD tables.  Let J be the first level whose input length is odd
+    # (the depth when none is).  Each level before J is an orthonormal
+    # map, so its share of the residual is the energy of its dropped
+    # details:
     #     ||x - rec||^2 = ||a_J - rebuilt a_J||^2 + sum_{j<J} ||dropped d_{j+1}||^2
     # where a_J is the forward pass's level-J input and rebuilt a_J the
     # inverse of the masked coarse part of ``flat`` (levels J..depth).  At
@@ -234,7 +231,7 @@ def _residual_energies(signals, config: CompressionConfig, crs) -> tuple:
     # only lower them.  An overflowing transform leaves inf and nan
     # residuals for _percent to report as the energy overflow they are,
     # with no numpy warning first.
-    _, kept, masks, flat, lengths, base = _forward_keep(signals, config, crs)
+    levels, kept, masks, flat, lengths, base = _forward_keep(signals, config, crs)
     odd = next((j for j, n in enumerate(lengths) if n % 2), len(lengths))
     # The finest J bands are the tail of each flat row.
     coarse = flat.shape[-1] - sum(n // 2 for n in lengths[:odd])
@@ -242,20 +239,19 @@ def _residual_energies(signals, config: CompressionConfig, crs) -> tuple:
     diff = base.reshape(len(signals), 1, -1) - _inverse_rows(masked, lengths[odd:], config.filters)
     diff *= diff
     dropped = np.where(masks[..., coarse:], 0.0, np.square(flat[:, None, coarse:]))
-    return flat.shape[-1], kept, np.add.reduce(diff, axis=-1) + np.add.reduce(dropped, axis=-1)
+    return levels, kept, masks, np.add.reduce(diff, axis=-1) + np.add.reduce(dropped, axis=-1)
 
 
 def _forward_keep(signals, config: CompressionConfig, crs) -> tuple:
-    # The one forward-and-keep kernel, shared by compress and the PRD
-    # table: every signal of ``signals`` (one block of a recording's
-    # channels: one length, one sample period) at every ratio in ``crs``
-    # (``config.cr`` is not used), with one depth search and one forward
-    # pass for the block.  Returns the depth, the kept count per ratio,
-    # the keep masks (signals, ratios, total), the coefficient rows
-    # (signals, total), the input length of each level and the input of
-    # the first odd-length level (see wavelets._forward_rows).  Callers
-    # silence numpy's overflow warnings: an overflow is left for the PRD
-    # to report.
+    # The forward-and-keep step of _residual_energies: every signal of
+    # ``signals`` (one block of a recording's channels: one length, one
+    # sample period) at every ratio in ``crs`` (``config.cr`` is not used),
+    # with one depth search and one forward pass for the block.  Returns
+    # the depth, the kept count per ratio, the keep masks (signals, ratios,
+    # total), the coefficient rows (signals, total), the input length of
+    # each level and the input of the first odd-length level (see
+    # wavelets._forward_rows).  Callers silence numpy's overflow warnings:
+    # an overflow is left for the PRD to report.
     levels = config.resolve_levels(signals[0].sample_period_s, len(signals[0]))
     # A lone signal stays 1-D: numpy's per-call cost is higher on a (1, n)
     # block, and the plane scan compresses one signal at a time.

@@ -161,7 +161,7 @@ def _state_model(spec: CohortSpec, subject: int, state: str) -> _StateModel:
 def _generator_waveform(t: np.ndarray, frequency_cpm: float, phases) -> np.ndarray:
     # Unit-power slow wave: fundamental plus 2nd and 3rd harmonics.
     weights = np.asarray(HARMONIC_WEIGHTS)
-    # Not np.linalg.norm, which sums a vector with BLAS dot (see compression._prd).
+    # Not np.linalg.norm, which sums a vector with BLAS dot (see compression._percent).
     weights = weights / np.sqrt(np.add.reduce(weights * weights))
     f_hz = frequency_cpm / 60.0
     wave = np.zeros_like(t)

@@ -616,6 +616,14 @@ def _comparison_cells(row: ChannelComparison) -> tuple:
     )
 
 
+def _number(value) -> str:
+    # A setting as short text that reads back as the same float: ``:g``
+    # (2, 1.5, 0.05) where it does, else the shortest round-trip repr less
+    # any ".0", so the ratios 2 and 2.0000001 print as two labels.
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value)).removesuffix(".0")
+
+
 def comparisons_to_csv(rows) -> str:
     """Render comparison rows as CSV with the standard six-column layout."""
     lines = ["channel,statistics,dprd_mean,dprd_sd,significant,p_value"]
@@ -635,7 +643,7 @@ def comparisons_to_text(rows, alpha: float = DEFAULT_ALPHA) -> str:
     lines = [fmt(header), fmt(tuple("-" * w for w in widths))]
     lines.extend(fmt(row) for row in body)
     lines.append("")
-    lines.append(f"significance level: p < {alpha:g}")
+    lines.append(f"significance level: p < {_number(alpha)}")
     lines.append(
         f"lilliefors null: {LILLIEFORS_MC_DRAWS} monte carlo draws, "
         f"seed {LILLIEFORS_MC_SEED}"
@@ -648,7 +656,7 @@ def sweep_to_csv(points) -> str:
     lines = ["cr,state_a,state_b,significant_channels,total_channels,detection_percent"]
     for p in points:
         lines.append(
-            f"{p.cr:g},{p.state_a},{p.state_b},"
+            f"{_number(p.cr)},{p.state_a},{p.state_b},"
             f"{p.significant_channels},{p.total_channels},{p.detection_percent:.2f}"
         )
     return "\n".join(lines) + "\n"

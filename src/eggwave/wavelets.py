@@ -259,7 +259,7 @@ def pollen_filter(a: float, b: float) -> FilterPair:
         number in ``[-pi, pi]``, not a bool or a string.  A bad one is
         reported as, e.g., ``plane angle a must be in [-pi, pi], got 9.0``.
     """
-    a, b = _plane_point((a, b))
+    a, b = _real(a, "plane angle a", "in [-pi, pi]"), _real(b, "plane angle b", "in [-pi, pi]")
     ca, sa = math.cos(a), math.sin(a)
     cb, sb = math.cos(b), math.sin(b)
     cab, sab = math.cos(a - b), math.sin(a - b)
@@ -287,14 +287,13 @@ def resolve_wavelet(spec) -> FilterPair:
 
 
 def _plane_point(spec) -> tuple:
-    # The one reading of a plane point ``(a, b)``: each angle checked and
-    # returned as a plain float, so a config that stores the pair hashes
-    # and equals one built from the same angles in another type.
+    # A plane point ``(a, b)`` unpacked into its two angles, unchecked:
+    # pollen_filter, the one tap builder, checks each angle once.
     try:
         a, b = spec
     except (TypeError, ValueError):
         raise ValueError(f"cannot interpret wavelet spec {spec!r}") from None
-    return _real(a, "plane angle a", "in [-pi, pi]"), _real(b, "plane angle b", "in [-pi, pi]")
+    return a, b
 
 
 @dataclass(frozen=True, eq=False)

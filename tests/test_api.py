@@ -101,6 +101,12 @@ def test_coefficients_hold_one_flat_vector():
     assert not hasattr(DwtCoefficients, "with_flat")
 
 
+def test_compression_result_holds_no_rebuilt_signal():
+    fields = [f.name for f in dataclasses.fields(compression.CompressionResult)]
+    assert fields == ["kept", "total_coefficients", "prd_percent", "kept_indices", "levels", "cr"]
+    assert compression.CompressionResult.__dataclass_params__.frozen
+
+
 def test_outcome_reports_only():
     fields = [f.name for f in dataclasses.fields(stats.TestOutcome)]
     assert fields == ["test_name", "statistic", "p_value"]

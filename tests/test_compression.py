@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from eggwave import compression
+from eggwave import compression, wavelets
 from eggwave.compression import (
     DEFAULT_TARGET_FREQUENCY_HZ,
     CompressionConfig,
@@ -52,6 +52,12 @@ def compress_block(signals, config, crs):
     """Depth, kept counts, keep masks and every rebuilt (signal, ratio) row."""
     levels, kept, masks, flat, lengths, _ = _forward_keep(signals, config, crs)
     return levels, kept, masks, _inverse_rows(np.multiply(masks, flat[:, None]), lengths, config.filters)
+
+
+def rebuilt(x, config, result):
+    """The signal a compress result keeps, by the README's recipe."""
+    coeffs = dwt_forward(x, config.filters, result.levels)
+    return dwt_inverse(keep_largest(coeffs, result.kept), config.filters)
 
 
 def coeffs_from_flat(flat, input_lengths):
@@ -216,6 +222,34 @@ class TestCompressionConfig:
         assert "wavelet=(0.5, 0.1)," in repr(config)
         assert config.filters.h.tobytes() == plain.filters.h.tobytes()
 
+    @pytest.mark.parametrize("entry", ["config", "resolve_wavelet", "pollen_filter"])
+    def test_plane_point_checked_once(self, monkeypatch, entry):
+        # pollen_filter, the one tap builder, checks each angle; the config
+        # and resolve_wavelet reach it once and check nothing again.
+        checked, built, real, build = [], [], wavelets._real, wavelets.pollen_filter
+
+        def counted_real(value, name, *args):
+            checked.append(name)
+            return real(value, name, *args)
+
+        def counted_build(*args):
+            built.append(args)
+            return build(*args)
+
+        for module in (wavelets, compression):
+            monkeypatch.setattr(module, "_real", counted_real)
+            monkeypatch.setattr(module, "pollen_filter", counted_build, raising=False)
+        point = (np.float64(0.7), -1.9)
+        {
+            "config": lambda: CompressionConfig(wavelet=point, cr=3.0, levels=6),
+            "resolve_wavelet": lambda: wavelets.resolve_wavelet(point),
+            "pollen_filter": lambda: wavelets.pollen_filter(*point),
+        }[entry]()
+        assert [name for name in checked if name.startswith("plane angle")] == [
+            "plane angle a", "plane angle b",
+        ]
+        assert len(built) == 1
+
     def test_integer_angles_become_floats(self):
         config = CompressionConfig(wavelet=(np.int64(-3), 2))
         assert config.wavelet == (-3.0, 2.0)
@@ -302,13 +336,7 @@ class TestCompress:
         first = compress(x, CompressionConfig(cr=3.0, levels=4))
         second = compress(x, CompressionConfig(cr=3.0, levels=4))
         assert first.prd_percent == second.prd_percent
-        assert np.array_equal(first.reconstruction.samples, second.reconstruction.samples)
         assert np.array_equal(first.kept_indices, second.kept_indices)
-
-    def test_sample_period_preserved(self):
-        signal = Signal(np.random.default_rng(7).standard_normal(256), sample_period_s=0.5)
-        result = compress(signal, CompressionConfig(cr=2.0, levels=3))
-        assert result.reconstruction.sample_period_s == 0.5
 
 
 class TestCompressionProperties:
@@ -327,12 +355,14 @@ class TestCompressionProperties:
     def test_scale_equivariance(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(2000)
-        base = compress(x, CompressionConfig(cr=3.0, levels=6))
-        scaled = compress(1000.0 * x, CompressionConfig(cr=3.0, levels=6))
+        config = CompressionConfig(cr=3.0, levels=6)
+        base = compress(x, config)
+        scaled = compress(1000.0 * x, config)
         assert np.array_equal(base.kept_indices, scaled.kept_indices)
         assert scaled.prd_percent == pytest.approx(base.prd_percent, rel=1e-9)
-        scale = 1000.0 * np.max(np.abs(base.reconstruction.samples))
-        gap = np.max(np.abs(scaled.reconstruction.samples - 1000.0 * base.reconstruction.samples))
+        base_rec, scaled_rec = rebuilt(x, config, base), rebuilt(1000.0 * x, config, scaled)
+        scale = 1000.0 * np.max(np.abs(base_rec.samples))
+        gap = np.max(np.abs(scaled_rec.samples - 1000.0 * base_rec.samples))
         assert gap < 1e-12 * scale
 
     def test_discarded_energy_identity_dyadic(self):
@@ -379,15 +409,20 @@ class TestSharedKeepKernel:
         for cr in sorted(crs, reverse=True):
             result = compress(x, CompressionConfig(wavelet=wavelet, cr=cr, levels=levels))
             assert result.kept == max(1, int(coeffs.total_count // cr))
-            expected = dwt_inverse(keep_largest(coeffs, result.kept), filters)
-            assert np.array_equal(result.reconstruction.samples, expected.samples)
+            mask = argsort_keep_mask(coeffs.flat, result.kept)
+            assert np.array_equal(result.kept_indices, np.flatnonzero(mask))
+            kept = keep_largest(coeffs, result.kept)
+            assert np.array_equal(kept.flat, np.where(mask, coeffs.flat, 0.0))
+            # The signal rebuilt from the public building blocks scores
+            # within the README's bound of compress.
+            assert_table_prd(result.prd_percent, prd(x, dwt_inverse(kept, filters)), len(x))
             # Keep sets grow by nesting as the kept count grows.
             assert np.isin(previous, result.kept_indices).all()
             previous = result.kept_indices
 
 
 class TestCompressRatios:
-    """One transform and one stacked inverse must give compress at each ratio."""
+    """One transform per signal must give compress at each ratio, bit for bit."""
 
     @staticmethod
     def assert_matches_compress(x, config, crs):
@@ -399,20 +434,17 @@ class TestCompressRatios:
         filters = resolve_wavelet(config.wavelet)
         for cr, keep, mask, row, value in zip(crs, kept, masks[0], rows[0], prds):
             want = compress(signal, replace(config, cr=cr))
-            assert_table_prd(value, want.prd_percent, len(signal))
+            assert value == want.prd_percent
             assert keep == want.kept
             assert total == mask.size == want.total_coefficients
             assert levels == want.levels
             assert want.cr == float(cr)
             assert np.array_equal(np.flatnonzero(mask), want.kept_indices)
-            assert row.tobytes() == want.reconstruction.samples.tobytes()
-            assert want.reconstruction.sample_period_s == signal.sample_period_s
-            # The same result from the public building blocks, one row at a time.
+            # The rebuilt signal from the public building blocks, one row at
+            # a time.  Byte equality also tells +0.0 from -0.0.
             coeffs = dwt_forward(signal, filters, levels)
             alone = dwt_inverse(keep_largest(coeffs, keep), filters)
-            # Byte equality also tells +0.0 from -0.0.
             assert row.tobytes() == alone.samples.tobytes()
-            assert want.prd_percent == prd(signal, alone)
             assert_table_prd(value, prd(signal, alone), len(signal))
 
     @pytest.mark.parametrize("n", [128, 129, 6000, 6001, 1000])
@@ -497,7 +529,7 @@ class TestCompressBlock:
             assert len(scored_kept) == len(prds) == len(crs)
             for cr, keep, value in zip(crs, scored_kept, prds):
                 want = compress(signal, replace(config, cr=cr))
-                assert_table_prd(value, want.prd_percent, len(signal))
+                assert value == want.prd_percent
                 assert (keep, total) == (want.kept, want.total_coefficients)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eggwave import matcher
-from eggwave.compression import CompressionConfig, compress
+from eggwave.compression import CompressionConfig, _prd_scores, compress
 from eggwave.io import Cohort
 from eggwave.matcher import (
     REFINE_RESOLUTION,
@@ -160,6 +160,22 @@ class TestCompressCallCount:
         assert len(calls) == 64
         refine_surface(x, surface)
         assert len(calls) == 128
+
+
+@pytest.mark.parametrize("n", [6000, 6001])
+def test_node_prd_is_the_table_prd(n):
+    # Every plane node is scored by the PRD table's rule: a node reads the
+    # bytes a table gives the same point, ratio and depth, here from a
+    # block of two signals at three ratios.
+    rng = np.random.default_rng(n)
+    x, other = Signal(rng.standard_normal(n)), Signal(rng.standard_normal(n))
+    grid = GridSpec(resolution=8, a_range=(0.3, 1.1), b_range=(-2.3, -1.5))
+    surface = prd_surface(x, grid, cr=3.0, levels=6)
+    for i, a in enumerate(surface.a_values):
+        for j, b in enumerate(surface.b_values):
+            config = CompressionConfig(wavelet=(a, b), levels=6)
+            [(_, _, prds), _] = _prd_scores((x, other), config, [2.0, 3.0, 5.0])
+            assert surface.prd[i, j] == prds[1]
 
 
 class TestRefineSurface:

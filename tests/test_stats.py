@@ -574,6 +574,21 @@ class TestRendering:
         csv = sweep_to_csv(points)
         assert csv.splitlines()[1] == "3,basal,severe,6,8,75.00"
 
+    @pytest.mark.parametrize("value, label", [
+        (2.0, "2"), (8.0, "8"), (1.5, "1.5"), (0.05, "0.05"), (1e9, "1e+09"),
+        (2.0000001, "2.0000001"), (123456789.0, "123456789"),
+        (0.1 + 0.2, "0.30000000000000004"), (np.float64(0.01), "0.01"),
+    ])
+    def test_a_setting_prints_as_text_that_reads_back(self, value, label):
+        # The ratio and the significance level print as the shortest text
+        # that reads back as the same float, never one rounded to 6 digits.
+        from eggwave.stats import SweepPoint
+
+        row = sweep_to_csv([SweepPoint(value, "basal", "severe", 6, 8, 75.0)]).splitlines()[1]
+        assert row == f"{label},basal,severe,6,8,75.00"
+        assert f"significance level: p < {label}\n" in comparisons_to_text(self.FIXTURE, alpha=value)
+        assert float(label) == value
+
 
 @pytest.fixture(scope="module")
 def small_cohort():
@@ -604,6 +619,12 @@ class TestPipeline:
         }
         again = cr_sweep(small_cohort, crs=[3.0], wavelet="daubechies-3")
         assert points == again
+
+    def test_close_ratios_print_as_distinct_labels(self, small_cohort):
+        points = cr_sweep(small_cohort, crs=[2, 2.0000001])
+        labels = [row.split(",")[0] for row in sweep_to_csv(points).splitlines()[1:]]
+        assert labels == ["2", "2", "2.0000001", "2.0000001"]
+        assert [float(label) for label in labels] == [p.cr for p in points]
 
     def test_flat_channel_error_names_recording(self, small_cohort):
         victim = small_cohort.get("dog02", "severe")
